@@ -7,7 +7,9 @@ data preprocessing, synthetic ground-truth generators, and graph metrics.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED
+# The kernels have a single numpy implementation; the flag records that path.
+NUMBA_ENABLED = False
+
 from .errors import (
     DataError,
     DegenerateInputError,

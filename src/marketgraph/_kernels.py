@@ -1,48 +1,15 @@
 """Hot array kernels: graph operators and the projected-gradient inner loops.
 
-Every kernel exists in two forms: a loop-style implementation compiled with
-numba and a vectorized numpy fallback (``*_py``).  The public names point at
-the compiled versions when numba is importable and the environment variable
-``MARKETGRAPH_DISABLE_NUMBA`` is unset/falsy; otherwise they point at the
-numpy fallbacks.  ``benchmarks/bench_kernels.py`` compares the two paths.
-
-All kernels take the edge-endpoint index arrays ``ii``/``jj`` (0-based, with
-``ii[k] > jj[k]``) produced by :func:`marketgraph.operators.edge_pairs`, so no
-index arithmetic happens inside the loops.
+Each kernel is a single vectorized numpy function.  All kernels take the
+edge-endpoint index arrays ``ii``/``jj`` (0-based, with ``ii[k] > jj[k]``)
+produced by :func:`marketgraph.operators.edge_pairs`, so no index arithmetic
+happens inside the loops.
 """
-
-import os
 
 import numpy as np
 
-_env = os.environ.get("MARKETGRAPH_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _env not in ("", "0", "false", "no")
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via MARKETGRAPH_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        # signature-compatible no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def lap_matrix_py(w, ii, jj, p):
+def lap_matrix(w, ii, jj, p):
     "Laplacian matrix from edge weights."
     A = np.zeros((p, p))
     A[ii, jj] = w
@@ -52,7 +19,7 @@ def lap_matrix_py(w, ii, jj, p):
     return L
 
 
-def adj_matrix_py(w, ii, jj, p):
+def adj_matrix(w, ii, jj, p):
     "Adjacency matrix from edge weights."
     A = np.zeros((p, p))
     A[ii, jj] = w
@@ -60,46 +27,53 @@ def adj_matrix_py(w, ii, jj, p):
     return A
 
 
-def lap_adjoint_py(M, ii, jj):
+def lap_adjoint(M, ii, jj):
     "Adjoint of the Laplacian operator: M_ii - M_ij - M_ji + M_jj per edge."
     d = np.diag(M)
     return d[ii] + d[jj] - M[ii, jj] - M[jj, ii]
 
 
-def degree_vector_py(w, ii, jj, p):
+def degree_vector(w, ii, jj, p):
     "Weighted node degrees."
     return np.bincount(ii, weights=w, minlength=p) + np.bincount(
         jj, weights=w, minlength=p
     )
 
 
-def degree_adjoint_py(y, ii, jj):
+def degree_adjoint(y, ii, jj):
     "Adjoint of the degree operator: y_i + y_j per edge."
     return y[ii] + y[jj]
+
+
+def mm_step_denominator(p, rho):
+    """Step-size denominator 2*rho*(2p - 1) of the projected gradient step.
+
+    Equals rho times the largest eigenvalue of the edge-space curvature
+    operator (adjoint-of-degree o degree + adjoint-of-Laplacian o Laplacian),
+    which is 2(2p - 1) = 4p - 2.
+    """
+    return 2.0 * rho * (2 * p - 1)
 
 
 def quad_gradient_py(w, ii, jj, p):
     """Curvature part of the inner-loop gradient.
 
     Applies (adjoint-of-Laplacian o Laplacian + adjoint-of-degree o degree)
-    to w, which collapses to 2*(deg_i + deg_j) + 2*w_k per edge.
+    to w, which collapses to 2*(deg_i + deg_j) + 2*w_k per edge.  Both inner
+    loops call it exactly once per step, so wrapping it counts inner steps.
     """
-    d = degree_vector_py(w, ii, jj, p)
+    d = degree_vector(w, ii, jj, p)
     return 2.0 * (d[ii] + d[jj]) + 2.0 * w
 
 
-def mm_inner_gaussian_py(w, c0, rho, p, n_steps, step_tol, ii, jj):
-    """Projected-gradient inner loop for the Gaussian w-subproblem.
+def _projected_steps(w, gradient, denom, n_steps, step_tol):
+    """Up to n_steps of w <- max(w - gradient(w) / denom, 0).
 
-    c0 is the iterate-independent part of the gradient; the step size is the
-    analytic curvature bound 2*rho*(2p-1).  Stops early once the update moves
-    by less than step_tol in max-norm.
+    Stops early once a step moves w by less than step_tol in max-norm.
     """
-    denom = 2.0 * rho * (2 * p - 1)
     w = w.copy()
     for _ in range(n_steps):
-        grad = c0 + rho * quad_gradient_py(w, ii, jj, p)
-        w_new = np.maximum(w - grad / denom, 0.0)
+        w_new = np.maximum(w - gradient(w) / denom, 0.0)
         delta = np.max(np.abs(w_new - w)) if w.size else 0.0
         w = w_new
         if delta < step_tol:
@@ -107,7 +81,22 @@ def mm_inner_gaussian_py(w, c0, rho, p, n_steps, step_tol, ii, jj):
     return w
 
 
-def mm_inner_student_py(w, c0, sq_diff, nu, scale, rho, p, n_steps, step_tol, ii, jj):
+def mm_inner_gaussian(w, c0, rho, p, n_steps, step_tol, ii, jj):
+    """Projected-gradient inner loop for the Gaussian w-subproblem.
+
+    c0 is the iterate-independent part of the gradient; the step size is the
+    analytic curvature bound :func:`mm_step_denominator`.
+    """
+    return _projected_steps(
+        w,
+        lambda v: c0 + rho * quad_gradient_py(v, ii, jj, p),
+        mm_step_denominator(p, rho),
+        n_steps,
+        step_tol,
+    )
+
+
+def mm_inner_student(w, c0, sq_diff, nu, scale, rho, p, n_steps, step_tol, ii, jj):
     """Projected-gradient inner loop for the Student-t w-subproblem.
 
     sq_diff is the (n, m) matrix of squared coordinate differences per
@@ -115,173 +104,9 @@ def mm_inner_student_py(w, c0, sq_diff, nu, scale, rho, p, n_steps, step_tol, ii
     The data term of the gradient is recomputed from it at every iterate,
     with scale = (p + nu) / n.
     """
-    denom = 2.0 * rho * (2 * p - 1)
-    w = w.copy()
-    for _ in range(n_steps):
-        q = sq_diff @ w
-        alpha = scale / (q + nu)
-        data_term = alpha @ sq_diff
-        grad = data_term + c0 + rho * quad_gradient_py(w, ii, jj, p)
-        w_new = np.maximum(w - grad / denom, 0.0)
-        delta = np.max(np.abs(w_new - w)) if w.size else 0.0
-        w = w_new
-        if delta < step_tol:
-            break
-    return w
 
+    def gradient(v):
+        alpha = scale / (sq_diff @ v + nu)
+        return alpha @ sq_diff + c0 + rho * quad_gradient_py(v, ii, jj, p)
 
-# ---------------------------------------------------------------------------
-# numba versions
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _lap_matrix_jit(w, ii, jj, p):
-    L = np.zeros((p, p))
-    for k in range(w.size):
-        i = ii[k]
-        j = jj[k]
-        L[i, j] = -w[k]
-        L[j, i] = -w[k]
-        L[i, i] += w[k]
-        L[j, j] += w[k]
-    return L
-
-
-@njit(cache=True)
-def _adj_matrix_jit(w, ii, jj, p):
-    A = np.zeros((p, p))
-    for k in range(w.size):
-        A[ii[k], jj[k]] = w[k]
-        A[jj[k], ii[k]] = w[k]
-    return A
-
-
-@njit(cache=True)
-def _lap_adjoint_jit(M, ii, jj):
-    m = ii.size
-    out = np.empty(m)
-    for k in range(m):
-        i = ii[k]
-        j = jj[k]
-        out[k] = M[i, i] + M[j, j] - M[i, j] - M[j, i]
-    return out
-
-
-@njit(cache=True)
-def _degree_vector_jit(w, ii, jj, p):
-    d = np.zeros(p)
-    for k in range(w.size):
-        d[ii[k]] += w[k]
-        d[jj[k]] += w[k]
-    return d
-
-
-@njit(cache=True)
-def _degree_adjoint_jit(y, ii, jj):
-    m = ii.size
-    out = np.empty(m)
-    for k in range(m):
-        out[k] = y[ii[k]] + y[jj[k]]
-    return out
-
-
-@njit(cache=True)
-def _quad_gradient_jit(w, ii, jj, p):
-    d = np.zeros(p)
-    for k in range(w.size):
-        d[ii[k]] += w[k]
-        d[jj[k]] += w[k]
-    out = np.empty(w.size)
-    for k in range(w.size):
-        out[k] = 2.0 * (d[ii[k]] + d[jj[k]]) + 2.0 * w[k]
-    return out
-
-
-@njit(cache=True)
-def _mm_inner_gaussian_jit(w, c0, rho, p, n_steps, step_tol, ii, jj):
-    m = w.size
-    denom = 2.0 * rho * (2 * p - 1)
-    w = w.copy()
-    # w_new is a separate buffer: the whole sweep must use the previous
-    # iterate (Jacobi step), not partially updated entries.
-    w_new = np.empty(m)
-    d = np.zeros(p)
-    for _ in range(n_steps):
-        for t in range(p):
-            d[t] = 0.0
-        for k in range(m):
-            d[ii[k]] += w[k]
-            d[jj[k]] += w[k]
-        delta = 0.0
-        for k in range(m):
-            grad = c0[k] + rho * (2.0 * (d[ii[k]] + d[jj[k]]) + 2.0 * w[k])
-            v = w[k] - grad / denom
-            if v < 0.0:
-                v = 0.0
-            step = abs(v - w[k])
-            if step > delta:
-                delta = step
-            w_new[k] = v
-        for k in range(m):
-            w[k] = w_new[k]
-        if delta < step_tol:
-            break
-    return w
-
-
-@njit(cache=True)
-def _mm_inner_student_jit(w, c0, sq_diff, nu, scale, rho, p, n_steps, step_tol, ii, jj):
-    m = w.size
-    n = sq_diff.shape[0]
-    denom = 2.0 * rho * (2 * p - 1)
-    w = w.copy()
-    w_new = np.empty(m)
-    d = np.zeros(p)
-    alpha = np.empty(n)
-    for _ in range(n_steps):
-        q = np.dot(sq_diff, w)
-        for t in range(n):
-            alpha[t] = scale / (q[t] + nu)
-        data_term = np.dot(alpha, sq_diff)
-        for t in range(p):
-            d[t] = 0.0
-        for k in range(m):
-            d[ii[k]] += w[k]
-            d[jj[k]] += w[k]
-        delta = 0.0
-        for k in range(m):
-            grad = data_term[k] + c0[k] + rho * (
-                2.0 * (d[ii[k]] + d[jj[k]]) + 2.0 * w[k]
-            )
-            v = w[k] - grad / denom
-            if v < 0.0:
-                v = 0.0
-            step = abs(v - w[k])
-            if step > delta:
-                delta = step
-            w_new[k] = v
-        for k in range(m):
-            w[k] = w_new[k]
-        if delta < step_tol:
-            break
-    return w
-
-
-if NUMBA_ENABLED:
-    lap_matrix = _lap_matrix_jit
-    adj_matrix = _adj_matrix_jit
-    lap_adjoint = _lap_adjoint_jit
-    degree_vector = _degree_vector_jit
-    degree_adjoint = _degree_adjoint_jit
-    quad_gradient = _quad_gradient_jit
-    mm_inner_gaussian = _mm_inner_gaussian_jit
-    mm_inner_student = _mm_inner_student_jit
-else:
-    lap_matrix = lap_matrix_py
-    adj_matrix = adj_matrix_py
-    lap_adjoint = lap_adjoint_py
-    degree_vector = degree_vector_py
-    degree_adjoint = degree_adjoint_py
-    quad_gradient = quad_gradient_py
-    mm_inner_gaussian = mm_inner_gaussian_py
-    mm_inner_student = mm_inner_student_py
+    return _projected_steps(w, gradient, mm_step_denominator(p, rho), n_steps, step_tol)

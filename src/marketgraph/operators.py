@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import mm_step_denominator
 from .errors import DimensionError
 
 __all__ = [
@@ -250,12 +251,3 @@ def degree_adj(y):
     ii, jj = edge_pairs(y.size)
     return _kernels.degree_adjoint(y, ii, jj)
 
-
-def mm_step_denominator(p, rho):
-    """Step-size denominator 2*rho*(2p - 1) of the projected gradient step.
-
-    Equals rho times the largest eigenvalue of the edge-space curvature
-    operator (adjoint-of-degree o degree + adjoint-of-Laplacian o Laplacian),
-    which is 2(2p - 1) = 4p - 2.
-    """
-    return 2.0 * rho * (2 * p - 1)

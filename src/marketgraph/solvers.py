@@ -110,8 +110,12 @@ class SolverConfig:
         if self.init not in ("pinv", "pinv-neg"):
             raise ParameterError(f"unknown init mode {self.init!r}")
         if method in _K_METHODS:
-            if not 1 <= self.k < p:
-                raise ParameterError(f"component count k={self.k} must satisfy 1 <= k < p={p}")
+            # positive degree targets give every node an edge, so every
+            # component has at least two nodes
+            if not 1 <= self.k <= p // 2:
+                raise ParameterError(
+                    f"component count k={self.k} must satisfy 1 <= k <= p // 2 = {p // 2}"
+                )
             if self.eta is not None and self.eta <= 0:
                 raise ParameterError(f"eta must be positive, got {self.eta}")
         if method in _T_METHODS:
@@ -169,10 +173,12 @@ def init_weights(S, negate=False):
     Default mode projects the strict-lower-triangle entries of pinv(S) onto
     the nonnegative orthant; negate=True reads the negated off-diagonals
     instead (the adjacency-style readout, which is the meaningful warm start
-    when pinv(S) is close to a Laplacian).
+    when pinv(S) is close to a Laplacian).  Eigenvalues below
+    DEFAULT_RANK_TOL times the largest are treated as zero, so the round-off
+    null space of a rank-deficient S does not blow up the warm start.
     """
     S = _as_matrix(S)
-    P = np.linalg.pinv(S, hermitian=True)
+    P = np.linalg.pinv(S, rcond=DEFAULT_RANK_TOL, hermitian=True)
     ii, jj = edge_pairs(S.shape[0])
     wt = P[ii, jj]
     if negate:
@@ -201,6 +207,31 @@ def weighted_scatter(X, w, nu):
     return SymmetricMatrix((X * alpha[:, None]).T @ X / n)
 
 
+def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
+    """One w-update: the linear term c0, then the projected inner loop.
+
+    c0 = L*(C) + d*(y - rho d) with C = -Y - rho Theta (+ penalty) (+ S).
+    student = (sq_diff, nu) selects the Student-t loop, whose data term is
+    reweighted at every step, so S is left out of C.
+    """
+    p = d.size
+    ii, jj = edge_pairs(p)
+    C = -Y - rho * theta
+    if penalty is not None:
+        C = C + penalty
+    if student is None:
+        C = C + S
+    c0 = _kernels.lap_adjoint(C, ii, jj) + _kernels.degree_adjoint(y - rho * d, ii, jj)
+    n_steps, step_tol = config.inner_iter, config.tol / 10.0
+    if student is None:
+        return _kernels.mm_inner_gaussian(w, c0, rho, p, n_steps, step_tol, ii, jj)
+    sq_diff, nu = student
+    scale = (p + nu) / sq_diff.shape[0]
+    return _kernels.mm_inner_student(
+        w, c0, sq_diff, nu, scale, rho, p, n_steps, step_tol, ii, jj
+    )
+
+
 def w_inner_update_gaussian(w, theta, Y, y, S, config, eta_term=None):
     """Run the projected-gradient inner loop of the Gaussian w-subproblem.
 
@@ -211,17 +242,10 @@ def w_inner_update_gaussian(w, theta, Y, y, S, config, eta_term=None):
     added to S (the spectral-subspace penalty of the k-component methods).
     """
     values, p = _as_weights(w)
-    S = _as_matrix(S)
-    if eta_term is not None:
-        S = S + _as_matrix(eta_term)
-    ii, jj = edge_pairs(p)
-    d = config.resolved_degrees(p)
-    rho = config.rho
-    c0 = _kernels.lap_adjoint(
-        S - _as_matrix(Y) - rho * _as_matrix(theta), ii, jj
-    ) + _kernels.degree_adjoint(np.asarray(y, dtype=float) - rho * d, ii, jj)
-    out = _kernels.mm_inner_gaussian(
-        values, c0, rho, p, config.inner_iter, config.tol / 10.0, ii, jj
+    penalty = None if eta_term is None else _as_matrix(eta_term)
+    out = _w_step(
+        values, _as_matrix(theta), _as_matrix(Y), np.asarray(y, dtype=float),
+        config.resolved_degrees(p), config.rho, config, S=_as_matrix(S), penalty=penalty,
     )
     return WeightVector(out, p)
 
@@ -254,6 +278,29 @@ def _student_objective(sq_diff, w, p, nu, n):
     return (p + nu) / n * float(np.sum(np.log1p(q / nu)))
 
 
+def _lagrangian(method, w, theta, Y, y, r, s, rho, config, J,
+                S=None, eta=None, V=None, student=None):
+    """Partial augmented Lagrangian from the iterates and the residuals.
+
+    r = Theta - L(w) and s = degrees(w) - d.  student = (sq_diff, nu) selects
+    the Student-t data term, otherwise <L*(S), w> is used; V (with eta) adds
+    the spectral-subspace penalty of the k-component methods.
+    """
+    p = theta.shape[0]
+    ii, jj = edge_pairs(p)
+    if student is None:
+        obj = float(_kernels.lap_adjoint(S, ii, jj) @ w)
+    else:
+        sq_diff, nu = student
+        obj = _student_objective(sq_diff, w, p, nu, sq_diff.shape[0])
+    if V is not None:
+        obj += eta * float(_kernels.lap_adjoint(V @ V.T, ii, jj) @ w)
+    obj += _logdet_term(theta, J, method, config.k, config.rank_tol)
+    obj += float(y @ s) + rho / 2.0 * float(s @ s)
+    obj += float(np.sum(Y * r)) + rho / 2.0 * float(np.sum(r * r))
+    return obj
+
+
 def augmented_lagrangian(state, w, data, config, method, V=None):
     """Evaluate the partial augmented Lagrangian of a solver state.
 
@@ -273,31 +320,27 @@ def augmented_lagrangian(state, w, data, config, method, V=None):
     rho = config.rho
     Lw = _kernels.lap_matrix(values, ii, jj, p)
 
+    S = student = None
     if method in _T_METHODS:
         X = np.asarray(data, dtype=float)
-        sq_diff = (X[:, ii] - X[:, jj]) ** 2
-        objective = _student_objective(sq_diff, values, p, config.nu, X.shape[0])
+        student = ((X[:, ii] - X[:, jj]) ** 2, config.nu)
     else:
         S = _as_matrix(data)
-        objective = float(_kernels.lap_adjoint(S, ii, jj) @ values)
 
     if method in _K_METHODS:
-        eta = config.eta
-        if eta is None:
+        if config.eta is None:
             raise ParameterError("eta must be resolved for k-component methods")
-        if V is None:
-            V = fan_subspace(Lw, config.k)
-        P = np.asarray(V) @ np.asarray(V).T
-        objective += eta * float(_kernels.lap_adjoint(P, ii, jj) @ values)
-
-    J = np.full((p, p), 1.0 / p)
-    objective += _logdet_term(theta, J, method, config.k, config.rank_tol)
+        V = np.asarray(fan_subspace(Lw, config.k) if V is None else V)
+    else:
+        V = None
 
     r = theta - Lw
     s = _kernels.degree_vector(values, ii, jj, p) - d
-    objective += float(y @ s) + rho / 2.0 * float(s @ s)
-    objective += float(np.sum(Y * r)) + rho / 2.0 * float(np.sum(r * r))
-    return objective
+    J = np.full((p, p), 1.0 / p)
+    return _lagrangian(
+        method, values, theta, Y, y, r, s, rho, config, J,
+        S=S, eta=config.eta, V=V, student=student,
+    )
 
 
 def _check_finite(iteration, *arrays):
@@ -341,7 +384,6 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
         eta = 100.0 * float(np.mean(np.abs(S)))
     d = config.resolved_degrees(p)
     ii, jj = edge_pairs(p)
-    step_tol = config.tol / 10.0
     J = np.full((p, p), 1.0 / p)
 
     if w0 is None:
@@ -352,10 +394,9 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
     y = np.zeros(p)
     theta = _kernels.lap_matrix(w, ii, jj, p)
     V = np.asarray(fan_subspace(theta, k).columns) if k_mode else None
+    student = None
     if t_mode:
-        sq_diff = np.ascontiguousarray((X[:, ii] - X[:, jj]) ** 2)
-        nu = float(config.nu)
-        scale = (p + nu) / X.shape[0]
+        student = (np.ascontiguousarray((X[:, ii] - X[:, jj]) ** 2), float(config.nu))
 
     it_log, r_log, s_log, v_log, lag_log = [], [], [], [], []
     converged = False
@@ -375,20 +416,8 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
                 - J
             )
 
-        C = -Y - rho * theta
-        if k_mode:
-            C = C + eta * (V @ V.T)
-        if not t_mode:
-            C = C + S
-        c0 = _kernels.lap_adjoint(C, ii, jj) + _kernels.degree_adjoint(y - rho * d, ii, jj)
-        if t_mode:
-            w = _kernels.mm_inner_student(
-                w, c0, sq_diff, nu, scale, rho, p, config.inner_iter, step_tol, ii, jj
-            )
-        else:
-            w = _kernels.mm_inner_gaussian(
-                w, c0, rho, p, config.inner_iter, step_tol, ii, jj
-            )
+        penalty = eta * (V @ V.T) if k_mode else None
+        w = _w_step(w, theta, Y, y, d, rho, config, S, penalty, student)
 
         Lw = _kernels.lap_matrix(w, ii, jj, p)
         if k_mode:
@@ -401,16 +430,7 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
         _check_finite(iterations, w, theta, Y, y)
 
         # augmented Lagrangian at the full post-iteration state
-        obj = (
-            _student_objective(sq_diff, w, p, nu, X.shape[0])
-            if t_mode
-            else float(_kernels.lap_adjoint(S, ii, jj) @ w)
-        )
-        if k_mode:
-            obj += eta * float(_kernels.lap_adjoint(V @ V.T, ii, jj) @ w)
-        obj += _logdet_term(theta, J, method, k, config.rank_tol)
-        obj += float(y @ s) + rho / 2.0 * float(s @ s)
-        obj += float(np.sum(Y * r)) + rho / 2.0 * float(np.sum(r * r))
+        obj = _lagrangian(method, w, theta, Y, y, r, s, rho, config, J, S, eta, V, student)
 
         r_norm = float(np.max(np.abs(r)))
         s_norm = float(np.max(np.abs(s)))

@@ -19,6 +19,7 @@ from marketgraph import (
     learn_kt,
     planted_k_component,
     sample_lgmrf,
+    similarity,
     w_inner_update_gaussian,
     weighted_scatter,
 )
@@ -264,6 +265,22 @@ class TestKComponentGaussian:
     def test_rejects_k_out_of_range(self):
         with pytest.raises(ParameterError):
             learn_k_component_gaussian(np.eye(4), SolverConfig(k=4))
+        # positive degree targets leave no isolated node: k <= p // 2
+        with pytest.raises(ParameterError):
+            learn_k_component_gaussian(np.eye(4), SolverConfig(k=3))
+        X = np.random.default_rng(0).standard_normal((50, 8))
+        with pytest.raises(ParameterError):
+            learn_kt(X, SolverConfig(k=7, nu=4.0))
+
+    def test_rank_deficient_similarity_gives_finite_warm_start(self):
+        # the correlation of this k=4 graph has rank p - k; without a rank
+        # cut-off in init_weights a round-off null eigenvalue of S reached
+        # the warm start and the first iteration raised EvaluationError
+        seed = 5395249943
+        truth = planted_k_component(200, 4, 0.3, seed=seed).weights
+        S = similarity(sample_lgmrf(laplacian_op(truth), 4000, seed))
+        est = learn_k_component_gaussian(S, SolverConfig(k=4, max_iter=1))
+        assert est.iterations == 1
 
 
 class TestStudentT:
