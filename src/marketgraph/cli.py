@@ -108,7 +108,8 @@ def _build_parser():
                        help="Student-t degrees of freedom (t/kt methods, > 2)")
     learn.add_argument("--rho", type=float, default=1.0, help="penalty parameter")
     learn.add_argument("--eta", type=float, default=None,
-                       help="spectral-penalty weight (default 100*mean|S|)")
+                       help="starting spectral-penalty weight, adapted to the "
+                            "observed nullity (default 100*mean|S|)")
     learn.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
     learn.add_argument("--max-iter", type=int, default=10000)
     learn.add_argument("--inner-iter", type=int, default=5)
@@ -324,7 +325,7 @@ def cmd_simulate(args):
     names = [f"n{i}" for i in range(args.p)]
     empty_trace = SolverTrace(
         iters=np.zeros(0, dtype=int), r_norm=np.zeros(0), s_norm=np.zeros(0),
-        v_norm=np.zeros(0), lagrangian=np.zeros(0),
+        v_norm=np.zeros(0), lagrangian=np.zeros(0), eta=np.zeros(0),
     )
     estimate = GraphEstimate(
         weights=planted.weights,

@@ -202,11 +202,14 @@ def read_graph_json(path):
         return graph_from_json(fh.read())
 
 
+_TRACE_COLUMNS = ["iter", "r_norm", "s_norm", "v_norm", "lagrangian", "eta"]
+
+
 def write_trace_csv(path, trace):
     "Write per-iteration solver diagnostics; floats via repr (lossless)."
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "r_norm", "s_norm", "v_norm", "lagrangian"])
+        writer.writerow(_TRACE_COLUMNS)
         for t in range(len(trace)):
             writer.writerow(
                 [
@@ -215,26 +218,26 @@ def write_trace_csv(path, trace):
                     repr(float(trace.s_norm[t])),
                     repr(float(trace.v_norm[t])),
                     repr(float(trace.lagrangian[t])),
+                    repr(float(trace.eta[t])),
                 ]
             )
 
 
 def read_trace_csv(path):
-    "Read a trace CSV back into column arrays."
+    """Read a trace CSV back into column arrays.
+
+    Traces written before the eta column existed are read without it.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header = rows[0]
-    expected = ["iter", "r_norm", "s_norm", "v_norm", "lagrangian"]
-    if header != expected:
+    if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS[:-1]):
         raise DataError(f"unexpected trace header {header}")
-    cols = {name: [] for name in expected}
+    cols = {name: [] for name in header}
     for row in rows[1:]:
-        for name, cell in zip(expected, row):
+        for name, cell in zip(header, row):
             cols[name].append(float(cell))
     return {
-        "iter": np.asarray(cols["iter"], dtype=int),
-        "r_norm": np.asarray(cols["r_norm"]),
-        "s_norm": np.asarray(cols["s_norm"]),
-        "v_norm": np.asarray(cols["v_norm"]),
-        "lagrangian": np.asarray(cols["lagrangian"]),
+        name: np.asarray(values, dtype=int if name == "iter" else float)
+        for name, values in cols.items()
     }

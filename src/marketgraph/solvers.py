@@ -15,8 +15,10 @@ Each outer iteration updates the auxiliary precision variable Theta through a
 closed-form log-det prox, runs a short projected-gradient inner loop on the
 edge weights w (step size from the analytic curvature bound), optionally
 refreshes the spectral subspace V, and performs dual ascent on the two
-constraint blocks Theta = L(w) and degrees(w) = d.  Iterations stop when both
-primal residuals fall below the tolerance in max-norm.
+constraint blocks Theta = L(w) and degrees(w) = d.  The k-component methods
+double the subspace weight eta while L(w) has fewer than k zero eigenvalues
+and halve it while it has more.  Iterations stop when both primal residuals
+fall below the tolerance in max-norm.
 """
 
 from dataclasses import dataclass, replace
@@ -60,6 +62,8 @@ __all__ = [
 METHODS = ("connected-gaussian", "k-gaussian", "connected-t", "kt")
 _K_METHODS = ("k-gaussian", "kt")
 _T_METHODS = ("connected-t", "kt")
+# eta never grows past this multiple of its starting value
+_ETA_MAX_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,12 @@ class SolverConfig:
     """Knobs shared by the four solvers.
 
     degree_target may be a scalar (broadcast to all nodes), a length-p vector,
-    or None for the all-ones default.  eta = None resolves to
-    100 * mean|S| at solve time (k-component methods only).  nu is required
-    for the Student-t methods and must exceed 2.
+    or None for the all-ones default.  eta is the starting weight of the
+    spectral-subspace term (k-component methods only); None resolves to
+    100 * mean|S| at solve time.  The solver doubles it while L(w) has fewer
+    than k zero eigenvalues and halves it while it has more; the trace
+    records the value each iteration used.  nu is required for the Student-t
+    methods and must exceed 2.
     """
 
     rho: float = 1.0
@@ -137,13 +144,18 @@ class DualState:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration residual norms and augmented-Lagrangian values."""
+    """Per-iteration residual norms and augmented-Lagrangian values.
+
+    eta is the spectral-subspace weight each iteration's Lagrangian used;
+    0.0 for the connected methods.
+    """
 
     iters: np.ndarray
     r_norm: np.ndarray
     s_norm: np.ndarray
     v_norm: np.ndarray
     lagrangian: np.ndarray
+    eta: np.ndarray
 
     def __len__(self):
         return self.iters.size
@@ -250,27 +262,24 @@ def w_inner_update_gaussian(w, theta, Y, y, S, config, eta_term=None):
     return WeightVector(out, p)
 
 
-def _logdet_term(theta, J, method, k, rank_tol):
-    """-log det part of the objective.
+def _logdet_term(x, p, method, k, rank_tol):
+    """-log det part of the objective, from eigenvalues x.
 
-    Connected methods use log det(Theta + J); k-component methods use the
-    pseudo-determinant over eigenvalues above rank_tol * lambda_max and require
-    at least p - k of them.
+    Connected methods pass the eigenvalues of Theta + J, which must all be
+    positive.  k-component methods pass those of Theta and use the
+    pseudo-determinant over the eigenvalues above rank_tol * max(x), of which
+    they require at least p - k.
     """
-    p = theta.shape[0]
     if method in _K_METHODS:
-        lam = np.linalg.eigvalsh(theta)
-        cutoff = rank_tol * max(float(lam[-1]), 0.0)
-        pos = lam[lam > cutoff]
+        pos = x[x > rank_tol * max(float(np.max(x)), 0.0)]
         if pos.size < p - k:
             raise EvaluationError(
                 f"Theta has {pos.size} positive eigenvalues, needs >= {p - k}"
             )
         return -float(np.sum(np.log(pos)))
-    sign, logdet = np.linalg.slogdet(theta + J)
-    if sign <= 0:
+    if np.min(x) <= 0:
         raise EvaluationError("Theta + J is not positive definite")
-    return -float(logdet)
+    return -float(np.sum(np.log(x)))
 
 
 def _student_objective(sq_diff, w, p, nu, n):
@@ -278,24 +287,25 @@ def _student_objective(sq_diff, w, p, nu, n):
     return (p + nu) / n * float(np.sum(np.log1p(q / nu)))
 
 
-def _lagrangian(method, w, theta, Y, y, r, s, rho, config, J,
-                S=None, eta=None, V=None, student=None):
+def _lagrangian(method, w, x, Y, y, r, s, rho, config,
+                LS=None, eta=None, V=None, student=None):
     """Partial augmented Lagrangian from the iterates and the residuals.
 
-    r = Theta - L(w) and s = degrees(w) - d.  student = (sq_diff, nu) selects
-    the Student-t data term, otherwise <L*(S), w> is used; V (with eta) adds
+    x holds the eigenvalues that :func:`_logdet_term` reads, r = Theta - L(w)
+    and s = degrees(w) - d.  student = (sq_diff, nu) selects the Student-t
+    data term, otherwise <LS, w> with LS = L*(S) is used; V (with eta) adds
     the spectral-subspace penalty of the k-component methods.
     """
-    p = theta.shape[0]
+    p = r.shape[0]
     ii, jj = edge_pairs(p)
     if student is None:
-        obj = float(_kernels.lap_adjoint(S, ii, jj) @ w)
+        obj = float(LS @ w)
     else:
         sq_diff, nu = student
         obj = _student_objective(sq_diff, w, p, nu, sq_diff.shape[0])
     if V is not None:
         obj += eta * float(_kernels.lap_adjoint(V @ V.T, ii, jj) @ w)
-    obj += _logdet_term(theta, J, method, config.k, config.rank_tol)
+    obj += _logdet_term(x, p, method, config.k, config.rank_tol)
     obj += float(y @ s) + rho / 2.0 * float(s @ s)
     obj += float(np.sum(Y * r)) + rho / 2.0 * float(np.sum(r * r))
     return obj
@@ -320,27 +330,41 @@ def augmented_lagrangian(state, w, data, config, method, V=None):
     rho = config.rho
     Lw = _kernels.lap_matrix(values, ii, jj, p)
 
-    S = student = None
+    LS = student = None
     if method in _T_METHODS:
         X = np.asarray(data, dtype=float)
         student = ((X[:, ii] - X[:, jj]) ** 2, config.nu)
     else:
-        S = _as_matrix(data)
+        LS = _kernels.lap_adjoint(_as_matrix(data), ii, jj)
 
     if method in _K_METHODS:
         if config.eta is None:
             raise ParameterError("eta must be resolved for k-component methods")
         V = np.asarray(fan_subspace(Lw, config.k) if V is None else V)
+        x = np.linalg.eigvalsh(theta)
     else:
         V = None
+        x = np.linalg.eigvalsh(theta + np.full((p, p), 1.0 / p))
 
     r = theta - Lw
     s = _kernels.degree_vector(values, ii, jj, p) - d
-    J = np.full((p, p), 1.0 / p)
     return _lagrangian(
-        method, values, theta, Y, y, r, s, rho, config, J,
-        S=S, eta=config.eta, V=V, student=student,
+        method, values, x, Y, y, r, s, rho, config,
+        LS=LS, eta=config.eta, V=V, student=student,
     )
+
+
+def _theta_step(Lw, Y, rho, J, k):
+    """Theta-update through the log-det prox; returns Theta and the prox's eigenvalues x.
+
+    k = 0 selects the full-rank prox of the connected methods, shifted by J;
+    k >= 1 the rank p - k prox.  The prox matrix itself is not kept.
+    """
+    if k:
+        prox = prox_logdet_rank(rho * Lw - Y, rho, k)
+        return np.asarray(prox.entries), prox.eigenvalues
+    prox = prox_logdet(rho * (Lw + J) - Y, rho)
+    return np.asarray(prox.entries) - J, prox.eigenvalues
 
 
 def _check_finite(iteration, *arrays):
@@ -382,6 +406,7 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
     eta = config.eta
     if k_mode and eta is None:
         eta = 100.0 * float(np.mean(np.abs(S)))
+    eta0 = eta
     d = config.resolved_degrees(p)
     ii, jj = edge_pairs(p)
     J = np.full((p, p), 1.0 / p)
@@ -392,36 +417,35 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
         w = np.asarray(_as_weights(w0, p)[0]).copy()
     Y = np.zeros((p, p))
     y = np.zeros(p)
-    theta = _kernels.lap_matrix(w, ii, jj, p)
-    V = np.asarray(fan_subspace(theta, k).columns) if k_mode else None
-    student = None
+    # L(w) of the current w: built once per iteration, read by the next prox
+    Lw = _kernels.lap_matrix(w, ii, jj, p)
+    theta = Lw
+    V = np.asarray(fan_subspace(Lw, k).columns) if k_mode else None
+    LS = student = None
     if t_mode:
         student = (np.ascontiguousarray((X[:, ii] - X[:, jj]) ** 2), float(config.nu))
+    else:
+        LS = _kernels.lap_adjoint(S, ii, jj)
 
-    it_log, r_log, s_log, v_log, lag_log = [], [], [], [], []
+    it_log, r_log, s_log, v_log, lag_log, eta_log = [], [], [], [], [], []
     converged = False
     iterations = 0
 
     for l in range(config.max_iter):
-        theta_prev = theta
-        if k_mode:
-            theta = np.asarray(
-                prox_logdet_rank(rho * _kernels.lap_matrix(w, ii, jj, p) - Y, rho, k).entries
-            )
-        else:
-            theta = (
-                np.asarray(
-                    prox_logdet(rho * (_kernels.lap_matrix(w, ii, jj, p) + J) - Y, rho).entries
-                )
-                - J
-            )
+        theta_next, x = _theta_step(Lw, Y, rho, J, k if k_mode else 0)
+        # the dual residual is taken now, so the old Theta is freed before the w-step
+        v_norm = float(np.max(np.abs(rho * _kernels.lap_adjoint(theta_next - theta, ii, jj))))
+        theta = theta_next
 
         penalty = eta * (V @ V.T) if k_mode else None
         w = _w_step(w, theta, Y, y, d, rho, config, S, penalty, student)
 
         Lw = _kernels.lap_matrix(w, ii, jj, p)
         if k_mode:
-            V = np.asarray(fan_subspace(Lw, k).columns)
+            subspace = fan_subspace(Lw, k)
+            V = np.asarray(subspace.columns)
+            lam = subspace.eigenvalues
+            nullity = int(np.sum(lam < config.rank_tol * lam[-1]))
         r = theta - Lw
         s = _kernels.degree_vector(w, ii, jj, p) - d
         Y = Y + rho * r
@@ -430,16 +454,16 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
         _check_finite(iterations, w, theta, Y, y)
 
         # augmented Lagrangian at the full post-iteration state
-        obj = _lagrangian(method, w, theta, Y, y, r, s, rho, config, J, S, eta, V, student)
+        obj = _lagrangian(method, w, x, Y, y, r, s, rho, config, LS, eta, V, student)
 
         r_norm = float(np.max(np.abs(r)))
         s_norm = float(np.max(np.abs(s)))
-        v_norm = float(np.max(np.abs(rho * _kernels.lap_adjoint(theta - theta_prev, ii, jj))))
         it_log.append(iterations)
         r_log.append(r_norm)
         s_log.append(s_norm)
         v_log.append(v_norm)
         lag_log.append(obj)
+        eta_log.append(eta if k_mode else 0.0)
 
         if callback is not None:
             callback(
@@ -463,15 +487,22 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
             converged = True
             break
 
+        # the next iteration's subspace weight, keyed to the observed nullity
+        if k_mode and nullity < k:
+            eta = min(2.0 * eta, _ETA_MAX_FACTOR * eta0)
+        elif k_mode and nullity > k:
+            eta = 0.5 * eta
+
     trace = SolverTrace(
         iters=np.asarray(it_log, dtype=int),
         r_norm=np.asarray(r_log),
         s_norm=np.asarray(s_log),
         v_norm=np.asarray(v_log),
         lagrangian=np.asarray(lag_log),
+        eta=np.asarray(eta_log),
     )
     weights = WeightVector(w, p)
-    snapshot = replace(config, eta=eta if k_mode else config.eta, degree_target=d)
+    snapshot = replace(config, eta=eta0, degree_target=d)
     return GraphEstimate(
         weights=weights,
         laplacian=laplacian_op(weights),
@@ -501,8 +532,11 @@ def learn_k_component_gaussian(S, config=None, names=None, callback=None, w0=Non
     The auxiliary precision is restricted to rank p - k by the prox itself;
     the weight subproblem carries an extra eta * V V^T similarity term whose
     subspace V tracks the k smallest-eigenvalue eigenvectors of the current
-    Laplacian.  Node degrees are pinned to the degree target, which rules out
-    isolated nodes.
+    Laplacian.  config.eta is only the starting weight: after each subspace
+    step eta doubles while L(w) has fewer than k zero eigenvalues (below
+    rank_tol * lambda_max) and halves while it has more; trace.eta records
+    it per iteration.  Node degrees are pinned to the degree target, which
+    rules out isolated nodes.
     """
     config = config or SolverConfig()
     return _run_admm("k-gaussian", S, None, config, names, callback, w0)

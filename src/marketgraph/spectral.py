@@ -14,6 +14,7 @@ from .operators import SymmetricMatrix, _as_matrix
 
 __all__ = [
     "EigenPair",
+    "ProxMatrix",
     "SubspaceMatrix",
     "eigendecompose",
     "prox_logdet",
@@ -35,10 +36,27 @@ class EigenPair:
 
 
 @dataclass(frozen=True)
+class ProxMatrix(SymmetricMatrix):
+    """Output of the log-det prox together with its mapped eigenvalues x.
+
+    eigenvalues holds the positive eigenvalues x the prox assigned, ascending:
+    all p of them for :func:`prox_logdet`, the p - k nonzero ones for
+    :func:`prox_logdet_rank`.
+    """
+
+    eigenvalues: np.ndarray
+
+
+@dataclass(frozen=True)
 class SubspaceMatrix:
-    """p x k matrix with orthonormal columns."""
+    """p x k matrix with orthonormal columns.
+
+    eigenvalues, when the subspace was read off a decomposition, holds all
+    eigenvalues of the decomposed matrix, ascending.
+    """
 
     columns: np.ndarray
+    eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
         V = np.asarray(self.columns, dtype=float)
@@ -70,8 +88,20 @@ def eigendecompose(M):
 
 
 def _prox_eigenvalue_map(gamma, rho):
-    # positive root of rho*x^2 - gamma*x - 1 = 0
-    return (gamma + np.sqrt(gamma * gamma + 4.0 * rho)) / (2.0 * rho)
+    # positive root of rho*x^2 - gamma*x - 1 = 0.  For gamma < 0 the form
+    # (gamma + root) / (2 rho) cancels to 0; the product of the roots, -1/rho,
+    # gives it as 2 / (root - gamma) = 2 / (root + |gamma|) without cancellation
+    root = np.sqrt(gamma * gamma + 4.0 * rho)
+    return np.where(gamma < 0, 2.0 / (root + np.abs(gamma)), (gamma + root) / (2.0 * rho))
+
+
+def _prox_top(M, rho, k):
+    # U_k Diag(x) U_k^T over the p - k largest eigenvalues of M, and x; the
+    # eigenvectors are freed on return, before the caller symmetrizes
+    pair = eigendecompose(M)
+    U = pair.eigenvectors[:, k:]
+    x = _prox_eigenvalue_map(pair.eigenvalues[k:], rho)
+    return (U * x) @ U.T, x
 
 
 def prox_logdet(M, rho):
@@ -83,10 +113,10 @@ def prox_logdet(M, rho):
     (1/(2 rho)) U (Gamma + sqrt(Gamma^2 + 4 rho I)) U^T: each output
     eigenvalue x solves rho x^2 - gamma x - 1 = 0, so the (positive
     definite) output satisfies the stationarity condition -X^{-1} + rho X = M.
+    The result carries the eigenvalues x, so log det X needs no second
+    decomposition.
     """
-    pair = eigendecompose(M)
-    x = _prox_eigenvalue_map(pair.eigenvalues, rho)
-    return SymmetricMatrix((pair.eigenvectors * x) @ pair.eigenvectors.T)
+    return ProxMatrix(*_prox_top(M, rho, 0))
 
 
 def prox_logdet_rank(M, rho, k):
@@ -101,25 +131,22 @@ def prox_logdet_rank(M, rho, k):
     p = M.shape[0]
     if not 0 <= k < p:
         raise ParameterError(f"component count k={k} must satisfy 0 <= k < p={p}")
-    pair = eigendecompose(M)
-    gamma = pair.eigenvalues[k:]
-    U = pair.eigenvectors[:, k:]
-    x = _prox_eigenvalue_map(gamma, rho)
-    return SymmetricMatrix((U * x) @ U.T)
+    return ProxMatrix(*_prox_top(M, rho, k))
 
 
 def fan_subspace(L, k):
     """Orthonormal basis of the k smallest-eigenvalue eigenvectors of L.
 
     tr(V^T L V) over orthonormal p x k matrices is minimized by this choice,
-    with minimum equal to the sum of the k smallest eigenvalues.
+    with minimum equal to the sum of the k smallest eigenvalues.  The result
+    carries all eigenvalues of L, so its nullity needs no second decomposition.
     """
     L = _as_matrix(L)
     p = L.shape[0]
     if not 1 <= k < p:
         raise ParameterError(f"component count k={k} must satisfy 1 <= k < p={p}")
     pair = eigendecompose(L)
-    return SubspaceMatrix(pair.eigenvectors[:, :k])
+    return SubspaceMatrix(pair.eigenvectors[:, :k], pair.eigenvalues)
 
 
 def psd_sqrt_pinv(M, rank_tol=DEFAULT_RANK_TOL):

@@ -112,6 +112,20 @@ class TestTraceCsv:
         np.testing.assert_array_equal(cols["r_norm"], small_estimate.trace.r_norm)
         np.testing.assert_array_equal(cols["lagrangian"], small_estimate.trace.lagrangian)
 
+    def test_eta_column_round_trips(self, tmp_path, small_estimate):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, small_estimate.trace)
+        cols = read_trace_csv(path)
+        np.testing.assert_array_equal(cols["eta"], small_estimate.trace.eta)
+
+    def test_reads_trace_without_eta_column(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,r_norm,s_norm,v_norm,lagrangian\n1,0.5,0.25,0.125,-3.0\n")
+        cols = read_trace_csv(path)
+        assert set(cols) == {"iter", "r_norm", "s_norm", "v_norm", "lagrangian"}
+        np.testing.assert_array_equal(cols["iter"], [1])
+        np.testing.assert_array_equal(cols["lagrangian"], [-3.0])
+
     def test_iterations_strictly_increasing(self, tmp_path, small_estimate):
         path = tmp_path / "trace.csv"
         write_trace_csv(path, small_estimate.trace)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from marketgraph import (
     SymmetricMatrix,
     WeightVector,
     augmented_lagrangian,
+    components,
     degree_op,
     init_weights,
     laplacian_adj,
@@ -25,7 +28,7 @@ from marketgraph import (
 )
 from marketgraph.operators import degree_adj, edge_count
 
-from conftest import sinkhorn_degrees
+from conftest import partitions_equal, sinkhorn_degrees
 
 
 def correlation_of(X):
@@ -239,6 +242,22 @@ class TestConnectedGaussian:
         assert err.value.iteration == 1
 
 
+    @pytest.mark.parametrize("seed", [3, 10, 17, 22, 25, 26, 31])
+    def test_small_scale_covariances_give_finite_weights(self, seed):
+        # covariances of 2-30 rows; these seeds draw column scales of 1e-8 to
+        # 6e-5.  The log-det prox maps strongly negative eigenvalues to tiny
+        # positive ones, which must not round to zero
+        rng = np.random.default_rng(seed)
+        p = rng.integers(2, 8)
+        n = rng.integers(2, 31)
+        scale = 10 ** rng.uniform(-8, 8)
+        S = np.cov((rng.standard_normal((n, p)) * scale).T, bias=True)
+        est = learn_connected_gaussian(S, SolverConfig(max_iter=50))
+        w = np.asarray(est.weights)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0)
+        assert np.all(est.trace.eta == 0.0)
+
+
 class TestKComponentGaussian:
     def test_nullity_and_partition(self):
         g = planted_k_component(18, 3, 0.6, (0.5, 2.0), seed=2)
@@ -261,6 +280,23 @@ class TestKComponentGaussian:
         S = correlation_of(X)
         est = learn_k_component_gaussian(S, SolverConfig(k=2))
         assert est.config.eta == pytest.approx(100 * np.mean(np.abs(S)))
+
+    @pytest.mark.parametrize("p, k", [(200, 4), (100, 2)])
+    def test_recovers_planted_partition_at_scale(self, p, k):
+        g = planted_k_component(p, k, 0.3, seed=4)
+        S = similarity(sample_lgmrf(laplacian_op(g.weights), 20 * p, seed=4))
+        est = learn_k_component_gaussian(S, SolverConfig(k=k))
+        assert est.converged
+        assert partitions_equal(components(est.weights), g.partition.labels)
+
+    def test_eta_starts_at_snapshot_and_moves_in_powers_of_two(self):
+        g = planted_k_component(40, 2, 0.3, seed=4)
+        S = similarity(sample_lgmrf(laplacian_op(g.weights), 800, seed=4))
+        est = learn_k_component_gaussian(S, SolverConfig(k=2, max_iter=25))
+        ratio = est.trace.eta / est.config.eta
+        assert ratio[0] == 1.0
+        assert ratio[-1] > 1.0  # fewer than k zero eigenvalues doubled eta
+        np.testing.assert_array_equal(ratio, 2.0 ** np.round(np.log2(ratio)))
 
     def test_rejects_k_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -386,6 +422,25 @@ class TestAugmentedLagrangian:
             state, WeightVector(last["w"], 6), S, est.config, "connected-gaussian"
         )
         assert value == pytest.approx(est.trace.lagrangian[-1], rel=1e-12)
+
+    def test_matches_trace_value_k_component(self):
+        # eta adapts during the solve; the trace records the value each
+        # iteration's Lagrangian used
+        g = planted_k_component(40, 2, 0.3, seed=4)
+        S = similarity(sample_lgmrf(laplacian_op(g.weights), 800, seed=4))
+        snaps = []
+        est = learn_k_component_gaussian(
+            S, SolverConfig(k=2, max_iter=25), callback=lambda it, s: snaps.append(s)
+        )
+        assert est.trace.eta[-1] != est.config.eta
+        # every row, so the rows where eta changed are covered too
+        for snap, eta, lagrangian in zip(snaps, est.trace.eta, est.trace.lagrangian):
+            state = DualState(SymmetricMatrix(snap["theta"]), SymmetricMatrix(snap["Y"]), snap["y"])
+            value = augmented_lagrangian(
+                state, WeightVector(snap["w"], 40), S,
+                replace(est.config, eta=eta), "k-gaussian",
+            )
+            assert value == pytest.approx(lagrangian, rel=1e-12)
 
     def test_kcomponent_requires_enough_positive_eigenvalues(self):
         from marketgraph import EvaluationError

@@ -53,6 +53,25 @@ class TestProxLogdet:
         out = np.asarray(prox_logdet(np.array([[2.0]]), 2.0))
         assert abs(out[0, 0] - expected) < 1e-12
 
+    def test_strongly_negative_gamma_keeps_positive_root(self):
+        # (gamma + sqrt(gamma^2 + 4 rho)) / (2 rho) cancels to 0 here
+        gamma, rho = -1e10, 1.0
+        out = prox_logdet(np.array([[gamma]]), rho)
+        x = out.eigenvalues[0]
+        assert x > 0
+        assert abs(rho * x * x - gamma * x - 1.0) < 1e-12
+        assert np.asarray(out)[0, 0] == pytest.approx(x, rel=1e-12)
+
+    def test_carries_mapped_eigenvalues(self, rng):
+        M = random_symmetric(rng, 6)
+        out = prox_logdet(M, 1.5)
+        np.testing.assert_allclose(out.eigenvalues, np.linalg.eigvalsh(np.asarray(out)), rtol=1e-10)
+        restricted = prox_logdet_rank(M, 1.5, 2)
+        assert restricted.eigenvalues.shape == (4,)
+        np.testing.assert_allclose(
+            restricted.eigenvalues, np.linalg.eigvalsh(np.asarray(restricted))[2:], rtol=1e-10
+        )
+
     @pytest.mark.parametrize("seed", range(5))
     def test_stationarity_residual(self, seed):
         rng = np.random.default_rng(seed)
@@ -126,6 +145,13 @@ class TestFanSubspace:
             np.linalg.norm(V[:, 0] - expected), np.linalg.norm(V[:, 0] + expected)
         ) < 1e-8
         assert abs(np.trace(V.T @ np.asarray(L) @ V)) < 1e-10
+
+    def test_carries_eigenvalues_of_its_matrix(self):
+        w = np.zeros(edge_count(5))
+        w[[0, 9]] = 1.0
+        L = np.asarray(laplacian_op(w))
+        sub = fan_subspace(L, 2)
+        np.testing.assert_allclose(sub.eigenvalues, np.linalg.eigvalsh(L), atol=1e-12)
 
     def test_monte_carlo_minimality(self, rng):
         p, k = 7, 3
