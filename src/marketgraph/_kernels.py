@@ -1,9 +1,9 @@
 """Hot array kernels: graph operators and the projected-gradient inner loops.
 
-Each kernel is a single vectorized numpy function.  All kernels take the
-edge-endpoint index arrays ``ii``/``jj`` (0-based, with ``ii[k] > jj[k]``)
-produced by :func:`marketgraph.operators.edge_pairs`, so no index arithmetic
-happens inside the loops.
+Each kernel is a single vectorized numpy function.  Kernels that work in
+edge space take the edge-endpoint index arrays ``ii``/``jj`` (0-based, with
+``ii[k] > jj[k]``) produced by :func:`marketgraph.operators.edge_pairs`, so no
+index arithmetic happens inside the loops.
 """
 
 import numpy as np
@@ -96,17 +96,33 @@ def mm_inner_gaussian(w, c0, rho, p, n_steps, step_tol, ii, jj):
     )
 
 
-def mm_inner_student(w, c0, sq_diff, nu, scale, rho, p, n_steps, step_tol, ii, jj):
+def student_quad(X, L):
+    "Quadratic forms x_i^T L x_i of every row x_i of X, without forming x_i x_i^T."
+    return np.einsum("ij,ij->i", X @ L, X)
+
+
+def student_scatter(X, L, nu):
+    """Student-t reweighted scatter X^T diag(alpha) X / n of the rows of X.
+
+    alpha_i = (p + nu) / (x_i^T L x_i + nu).  Memory is O(n p + p^2).
+    """
+    n, p = X.shape
+    alpha = (p + nu) / (student_quad(X, L) + nu)
+    # one operand on both sides of the product, so BLAS takes its symmetric (syrk) path
+    Xa = X * np.sqrt(alpha / n)[:, None]
+    return Xa.T @ Xa
+
+
+def mm_inner_student(w, c0, X, nu, rho, p, n_steps, step_tol, ii, jj):
     """Projected-gradient inner loop for the Student-t w-subproblem.
 
-    sq_diff is the (n, m) matrix of squared coordinate differences per
-    observation and edge; row i equals the Laplacian-adjoint of x_i x_i^T.
-    The data term of the gradient is recomputed from it at every iterate,
-    with scale = (p + nu) / n.
+    X is the (n, p) data matrix.  The data term of the gradient,
+    L*(student_scatter(X, L(v), nu)), is recomputed at every iterate v, so
+    each observation is reweighted by its quadratic form under L(v).
     """
 
     def gradient(v):
-        alpha = scale / (sq_diff @ v + nu)
-        return alpha @ sq_diff + c0 + rho * quad_gradient_py(v, ii, jj, p)
+        data = lap_adjoint(student_scatter(X, lap_matrix(v, ii, jj, p), nu), ii, jj)
+        return data + c0 + rho * quad_gradient_py(v, ii, jj, p)
 
     return _projected_steps(w, gradient, mm_step_denominator(p, rho), n_steps, step_tol)

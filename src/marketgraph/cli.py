@@ -8,7 +8,7 @@ cap without converging (outputs are still written), 1 any error.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -90,6 +90,10 @@ def _parse_degree(text, p):
     return np.asarray(values)
 
 
+# learn's solver options default to SolverConfig's own field defaults
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="marketgraph",
@@ -106,13 +110,15 @@ def _build_parser():
     learn.add_argument("--k", type=int, default=1, help="component count (k/kt methods)")
     learn.add_argument("--nu", type=float, default=None,
                        help="Student-t degrees of freedom (t/kt methods, > 2)")
-    learn.add_argument("--rho", type=float, default=1.0, help="penalty parameter")
+    learn.add_argument("--rho", type=float, default=_CONFIG_DEFAULTS["rho"],
+                       help="penalty parameter")
     learn.add_argument("--eta", type=float, default=None,
                        help="starting spectral-penalty weight, adapted to the "
                             "observed nullity (default 100*mean|S|)")
-    learn.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
-    learn.add_argument("--max-iter", type=int, default=10000)
-    learn.add_argument("--inner-iter", type=int, default=5)
+    learn.add_argument("--tol", type=float, default=_CONFIG_DEFAULTS["tol"],
+                       help="residual tolerance")
+    learn.add_argument("--max-iter", type=int, default=_CONFIG_DEFAULTS["max_iter"])
+    learn.add_argument("--inner-iter", type=int, default=_CONFIG_DEFAULTS["inner_iter"])
     learn.add_argument("--adaptive-rho", action="store_true",
                        help="grow rho when the augmented Lagrangian increases")
     learn.add_argument("--degree", default=None,
@@ -121,7 +127,8 @@ def _build_parser():
                        default="correlation")
     learn.add_argument("--remove-market", action="store_true",
                        help="zero the top eigenvalue of the similarity matrix")
-    learn.add_argument("--init", choices=["pinv", "pinv-neg"], default="pinv-neg")
+    learn.add_argument("--init", choices=["pinv", "pinv-neg"],
+                       default=_CONFIG_DEFAULTS["init"])
     learn.add_argument("--seed", type=int, default=None,
                        help="recorded in the manifest for provenance")
     learn.add_argument("--out", help="output graph JSON path")

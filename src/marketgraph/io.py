@@ -10,6 +10,7 @@ bytes.
 """
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -39,37 +40,39 @@ def read_panel_csv(path):
 
     Header row holds asset symbols; an optional leading column named "date"
     carries timestamps (ignored by the math).  Rows containing any missing or
-    unparseable value are dropped.  Returns (values, names, timestamps,
+    unparseable value are dropped.  Rows are parsed as they are read, so the
+    file's text is never held whole.  Returns (values, names, timestamps,
     dropped_row_count).
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise DataError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
-    has_date = bool(header) and header[0].lower() == "date"
-    names = header[1:] if has_date else header
-    if not names:
-        raise DataError(f"{path}: header row has no asset columns")
-    data, stamps, dropped = [], [], 0
-    for row in rows[1:]:
-        if not row or all(not c.strip() for c in row):
-            continue
-        cells = row[1:] if has_date else row
-        if len(cells) != len(names):
-            dropped += 1
-            continue
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError:
-            dropped += 1
-            continue
-        if not all(np.isfinite(vals)):
-            dropped += 1
-            continue
-        data.append(vals)
-        if has_date:
-            stamps.append(row[0])
+        reader = csv.reader(fh)
+        header, first = next(reader, None), next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: need a header row and at least one data row")
+        header = [h.strip() for h in header]
+        has_date = bool(header) and header[0].lower() == "date"
+        names = header[1:] if has_date else header
+        if not names:
+            raise DataError(f"{path}: header row has no asset columns")
+        data, stamps, dropped = [], [], 0
+        for row in itertools.chain([first], reader):
+            if not row or all(not c.strip() for c in row):
+                continue
+            cells = row[1:] if has_date else row
+            if len(cells) != len(names):
+                dropped += 1
+                continue
+            try:
+                vals = np.array([float(c) for c in cells])
+            except ValueError:
+                dropped += 1
+                continue
+            if not np.all(np.isfinite(vals)):
+                dropped += 1
+                continue
+            data.append(vals)
+            if has_date:
+                stamps.append(row[0])
     if not data:
         raise DataError(f"{path}: no usable data rows")
     return np.asarray(data), names, (stamps if has_date else None), dropped

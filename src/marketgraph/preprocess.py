@@ -5,6 +5,7 @@ Log-returns from price panels, column scaling, similarity matrices
 dominant common factor.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,11 @@ _NMI_CLIP = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class ReturnsMatrix:
-    """An n x p panel of returns with asset names and optional timestamps."""
+    """An n x p panel of returns with asset names and optional timestamps.
+
+    Asset names must be distinct: graph outputs and label files refer to
+    nodes by name.
+    """
 
     values: np.ndarray
     names: list
@@ -46,6 +51,9 @@ class ReturnsMatrix:
         names = [str(s) for s in self.names]
         if len(names) != X.shape[1]:
             raise DataError(f"{len(names)} names for {X.shape[1]} columns")
+        repeated = [s for s, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise DataError(f"asset name {repeated[0]!r} appears more than once")
         if self.timestamps is not None and len(self.timestamps) != X.shape[0]:
             raise DataError("timestamp count does not match row count")
         object.__setattr__(self, "values", X)

@@ -203,28 +203,28 @@ def weighted_scatter(X, w, nu):
 
     Each observation x_i is weighted by (p + nu) / (x_i^T L(w) x_i + nu); the
     result is the weighted average of the outer products x_i x_i^T.  The
-    quadratic forms are evaluated through the per-edge squared differences, so
-    no p x p matrix is formed per observation.
+    quadratic forms come from X and L(w) in one pass, so memory stays
+    O(n p + p^2) and no matrix is formed per observation.  The Student-t
+    inner loop uses the same scatter as its data term.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionError("data matrix must be 2-d (observations x nodes)")
-    n, p = X.shape
+    p = X.shape[1]
     if nu is None or nu <= 2:
         raise ParameterError(f"nu must exceed 2, got {nu}")
     values, _ = _as_weights(w, p)
     ii, jj = edge_pairs(p)
-    q = (X[:, ii] - X[:, jj]) ** 2 @ values
-    alpha = (p + nu) / (q + nu)
-    return SymmetricMatrix((X * alpha[:, None]).T @ X / n)
+    Lw = _kernels.lap_matrix(values, ii, jj, p)
+    return SymmetricMatrix(_kernels.student_scatter(X, Lw, nu))
 
 
 def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
     """One w-update: the linear term c0, then the projected inner loop.
 
     c0 = L*(C) + d*(y - rho d) with C = -Y - rho Theta (+ penalty) (+ S).
-    student = (sq_diff, nu) selects the Student-t loop, whose data term is
-    reweighted at every step, so S is left out of C.
+    student = (X, nu), with X the n x p data matrix, selects the Student-t
+    loop, which reweights the rows of X at every step, so S is left out of C.
     """
     p = d.size
     ii, jj = edge_pairs(p)
@@ -237,11 +237,8 @@ def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
     n_steps, step_tol = config.inner_iter, config.tol / 10.0
     if student is None:
         return _kernels.mm_inner_gaussian(w, c0, rho, p, n_steps, step_tol, ii, jj)
-    sq_diff, nu = student
-    scale = (p + nu) / sq_diff.shape[0]
-    return _kernels.mm_inner_student(
-        w, c0, sq_diff, nu, scale, rho, p, n_steps, step_tol, ii, jj
-    )
+    X, nu = student
+    return _kernels.mm_inner_student(w, c0, X, nu, rho, p, n_steps, step_tol, ii, jj)
 
 
 def w_inner_update_gaussian(w, theta, Y, y, S, config, eta_term=None):
@@ -282,27 +279,31 @@ def _logdet_term(x, p, method, k, rank_tol):
     return -float(np.sum(np.log(x)))
 
 
-def _student_objective(sq_diff, w, p, nu, n):
-    q = sq_diff @ w
+def _student_objective(X, Lw, nu):
+    "Student-t data term (p + nu)/n * sum_i log(1 + x_i^T L(w) x_i / nu)."
+    n, p = X.shape
+    q = _kernels.student_quad(X, Lw)
     return (p + nu) / n * float(np.sum(np.log1p(q / nu)))
 
 
-def _lagrangian(method, w, x, Y, y, r, s, rho, config,
+def _lagrangian(method, w, Lw, x, Y, y, r, s, rho, config,
                 LS=None, eta=None, V=None, student=None):
     """Partial augmented Lagrangian from the iterates and the residuals.
 
-    x holds the eigenvalues that :func:`_logdet_term` reads, r = Theta - L(w)
-    and s = degrees(w) - d.  student = (sq_diff, nu) selects the Student-t
-    data term, otherwise <LS, w> with LS = L*(S) is used; V (with eta) adds
-    the spectral-subspace penalty of the k-component methods.
+    Lw is L(w), x holds the eigenvalues that :func:`_logdet_term` reads,
+    r = Theta - L(w) and s = degrees(w) - d.  student = (X, nu), with X the
+    n x p data matrix, selects the Student-t data term, read from the
+    quadratic forms x_i^T L(w) x_i; otherwise <LS, w> with LS = L*(S) is
+    used.  V (with eta) adds the spectral-subspace penalty of the
+    k-component methods.
     """
     p = r.shape[0]
     ii, jj = edge_pairs(p)
     if student is None:
         obj = float(LS @ w)
     else:
-        sq_diff, nu = student
-        obj = _student_objective(sq_diff, w, p, nu, sq_diff.shape[0])
+        X, nu = student
+        obj = _student_objective(X, Lw, nu)
     if V is not None:
         obj += eta * float(_kernels.lap_adjoint(V @ V.T, ii, jj) @ w)
     obj += _logdet_term(x, p, method, config.k, config.rank_tol)
@@ -332,8 +333,7 @@ def augmented_lagrangian(state, w, data, config, method, V=None):
 
     LS = student = None
     if method in _T_METHODS:
-        X = np.asarray(data, dtype=float)
-        student = ((X[:, ii] - X[:, jj]) ** 2, config.nu)
+        student = (np.asarray(data, dtype=float), config.nu)
     else:
         LS = _kernels.lap_adjoint(_as_matrix(data), ii, jj)
 
@@ -349,7 +349,7 @@ def augmented_lagrangian(state, w, data, config, method, V=None):
     r = theta - Lw
     s = _kernels.degree_vector(values, ii, jj, p) - d
     return _lagrangian(
-        method, values, x, Y, y, r, s, rho, config,
+        method, values, Lw, x, Y, y, r, s, rho, config,
         LS=LS, eta=config.eta, V=V, student=student,
     )
 
@@ -423,7 +423,7 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
     V = np.asarray(fan_subspace(Lw, k).columns) if k_mode else None
     LS = student = None
     if t_mode:
-        student = (np.ascontiguousarray((X[:, ii] - X[:, jj]) ** 2), float(config.nu))
+        student = (X, float(config.nu))
     else:
         LS = _kernels.lap_adjoint(S, ii, jj)
 
@@ -454,7 +454,7 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
         _check_finite(iterations, w, theta, Y, y)
 
         # augmented Lagrangian at the full post-iteration state
-        obj = _lagrangian(method, w, x, Y, y, r, s, rho, config, LS, eta, V, student)
+        obj = _lagrangian(method, w, Lw, x, Y, y, r, s, rho, config, LS, eta, V, student)
 
         r_norm = float(np.max(np.abs(r)))
         s_norm = float(np.max(np.abs(s)))
@@ -545,10 +545,12 @@ def learn_k_component_gaussian(S, config=None, names=None, callback=None, w0=Non
 def learn_connected_t(X, config=None, names=None, callback=None, w0=None):
     """Estimate a connected graph from raw data under a Student-t model.
 
-    Identical to the Gaussian solver except that the weight subproblem's
-    similarity matrix is re-weighted at every inner iterate: observations with
-    large Mahalanobis-type quadratic form under the current Laplacian are
-    down-weighted by (p + nu) / (x^T L(w) x + nu).
+    X is the n x p data matrix, assumed zero-mean: it is not centered, and
+    the warm start reads X^T X / n.  The loop is the Gaussian one except that
+    the weight subproblem reweights the observations at every inner iterate:
+    an observation with a large quadratic form x^T L(w) x under the current
+    Laplacian is down-weighted by (p + nu) / (x^T L(w) x + nu).  The
+    quadratic forms are computed from X and L(w), so memory is O(n p + p^2).
     """
     config = config or SolverConfig()
     return _run_admm("connected-t", None, X, config, names, callback, w0)

@@ -140,13 +140,15 @@ def fan_subspace(L, k):
     tr(V^T L V) over orthonormal p x k matrices is minimized by this choice,
     with minimum equal to the sum of the k smallest eigenvalues.  The result
     carries all eigenvalues of L, so its nullity needs no second decomposition.
+    The k columns are copied, so the p x p eigenvector matrix is freed on
+    return.
     """
     L = _as_matrix(L)
     p = L.shape[0]
     if not 1 <= k < p:
         raise ParameterError(f"component count k={k} must satisfy 1 <= k < p={p}")
     pair = eigendecompose(L)
-    return SubspaceMatrix(pair.eigenvectors[:, :k], pair.eigenvalues)
+    return SubspaceMatrix(pair.eigenvectors[:, :k].copy(), pair.eigenvalues)
 
 
 def psd_sqrt_pinv(M, rank_tol=DEFAULT_RANK_TOL):

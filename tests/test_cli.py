@@ -181,6 +181,24 @@ class TestLearn:
                        "--out", tmp_path / "g.json")
         assert code == 1
 
+    def test_solver_defaults_come_from_solver_config(self):
+        from marketgraph import SolverConfig
+        from marketgraph.cli import _build_parser
+
+        args = _build_parser().parse_args(["learn"])
+        cfg = SolverConfig()
+        assert (args.rho, args.tol, args.max_iter, args.inner_iter, args.init) == (
+            cfg.rho, cfg.tol, cfg.max_iter, cfg.inner_iter, cfg.init)
+
+    def test_duplicate_asset_names_rejected(self, tmp_path, rng, capsys):
+        path = tmp_path / "dup.csv"
+        write_panel_csv(path, rng.standard_normal((50, 6)), ["a", "a", "b", "c", "d", "e"])
+        out = tmp_path / "graph.json"
+        code = run_cli("learn", "--input", path, "--method", "connected", "--out", out)
+        assert code == 1
+        assert "'a'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonconvergence_exit_2_still_writes(self, tmp_path, returns_csv):
         path, _ = returns_csv
         out = tmp_path / "graph.json"

@@ -31,9 +31,7 @@ def test_student_step_matches_weighted_scatter_oracle(inputs, rng):
     X = rng.standard_normal((25, p))
     c0 = rng.standard_normal(w.size)
     nu, rho = 4.0, 1.3
-    sq_diff = np.ascontiguousarray((X[:, ii] - X[:, jj]) ** 2)
-    scale = (p + nu) / X.shape[0]
-    step = _kernels.mm_inner_student(w, c0, sq_diff, nu, scale, rho, p, 1, 0.0, ii, jj)
+    step = _kernels.mm_inner_student(w, c0, X, nu, rho, p, 1, 0.0, ii, jj)
 
     grad = (
         laplacian_adj(weighted_scatter(X, w, nu))
@@ -42,3 +40,23 @@ def test_student_step_matches_weighted_scatter_oracle(inputs, rng):
     )
     oracle = np.maximum(w - grad / mm_step_denominator(p, rho), 0.0)
     np.testing.assert_allclose(step, oracle, atol=1e-12)
+
+
+def test_student_quad_matches_edge_differences(inputs, rng):
+    # x_i^T L(w) x_i = sum over edges of w_e (x_i[ii_e] - x_i[jj_e])^2
+    p, ii, jj, w = inputs
+    X = rng.standard_normal((25, p))
+    oracle = ((X[:, ii] - X[:, jj]) ** 2) @ w
+    q = _kernels.student_quad(X, _kernels.lap_matrix(w, ii, jj, p))
+    np.testing.assert_allclose(q, oracle, rtol=1e-12, atol=1e-12)
+
+
+def test_student_scatter_matches_explicit_sum(inputs, rng):
+    # (1/n) sum_i alpha_i x_i x_i^T, alpha_i = (p + nu) / (q_i + nu), q_i from edge differences
+    p, ii, jj, w = inputs
+    X = rng.standard_normal((25, p))
+    nu = 4.0
+    alpha = (p + nu) / (((X[:, ii] - X[:, jj]) ** 2) @ w + nu)
+    oracle = sum(a * np.outer(x, x) for a, x in zip(alpha, X)) / X.shape[0]
+    out = _kernels.student_scatter(X, _kernels.lap_matrix(w, ii, jj, p), nu)
+    np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)

@@ -169,6 +169,10 @@ class TestReturnsMatrix:
         with pytest.raises(DataError):
             ReturnsMatrix(X, ["a", "b"])
 
+    def test_rejects_duplicate_names(self):
+        with pytest.raises(DataError, match="'b'"):
+            ReturnsMatrix(np.eye(3), ["a", "b", "b"])
+
     def test_rejects_tiny_panels(self):
         with pytest.raises(DataError):
             ReturnsMatrix(np.ones((1, 3)), ["a", "b", "c"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from marketgraph import (
     learn_kt,
     planted_k_component,
     sample_lgmrf,
+    sample_student_t,
     similarity,
     w_inner_update_gaussian,
     weighted_scatter,
@@ -352,6 +354,79 @@ class TestStudentT:
         assert component_count(kt.weights) == component_count(ct.weights) == 1
 
 
+class TestStudentTMemory:
+    # p=100, n=2000: one n x m array of per-edge values would take
+    # n * p(p-1)/2 * 8 bytes = 75.5 MiB; the Student-t paths need O(n p + p^2)
+    P, N = 100, 2000
+    BOUND_MIB = 10.0
+
+    @pytest.fixture
+    def data(self):
+        X = np.random.default_rng(0).standard_normal((self.N, self.P))
+        w = np.full(edge_count(self.P), 1.0 / (self.P - 1))
+        return X, w
+
+    def _peak_mib(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_peak(self, data):
+        X, _ = data
+        peak = self._peak_mib(lambda: learn_connected_t(X, SolverConfig(nu=4.0, max_iter=2)))
+        assert peak < self.BOUND_MIB
+
+    def test_weighted_scatter_peak(self, data):
+        X, w = data
+        assert self._peak_mib(lambda: weighted_scatter(X, w, 4.0)) < self.BOUND_MIB
+
+    def test_augmented_lagrangian_peak(self, data):
+        X, w = data
+        p = self.P
+        state = DualState(SymmetricMatrix(np.eye(p)), SymmetricMatrix(np.zeros((p, p))), np.zeros(p))
+        peak = self._peak_mib(lambda: augmented_lagrangian(
+            state, WeightVector(w, p), X, SolverConfig(nu=4.0), "connected-t"))
+        assert peak < self.BOUND_MIB
+
+
+class TestPermutationEquivariance:
+    """Relabelling the assets relabels the estimate.
+
+    kt is left out: at p=30, k=2 (n=600) the permuted solve's adjacency
+    differs by up to 0.1 after 10 iterations, and neither solve has
+    converged at 100.
+    """
+
+    P, N = 40, 800
+
+    @pytest.mark.parametrize("method", ["connected-gaussian", "k-gaussian", "connected-t"])
+    def test_permuted_input_gives_permuted_graph(self, method):
+        k = 2 if method == "k-gaussian" else 1
+        g = planted_k_component(self.P, k, 0.3, seed=4)
+        L = laplacian_op(g.weights)
+        perm = np.random.default_rng(7).permutation(self.P)
+        if method == "connected-t":
+            X = sample_student_t(L, 4.0, self.N, seed=4)
+            cfg = SolverConfig(nu=4.0)
+            est = learn_connected_t(X, cfg)
+            est_perm = learn_connected_t(X[:, perm], cfg)
+        else:
+            S = np.asarray(similarity(sample_lgmrf(L, self.N, seed=4)))
+            learn = learn_k_component_gaussian if k > 1 else learn_connected_gaussian
+            cfg = SolverConfig(k=k)
+            est = learn(S, cfg)
+            est_perm = learn(S[np.ix_(perm, perm)], cfg)
+        assert est.converged and est_perm.converged
+        assert est_perm.iterations == est.iterations
+        A = np.asarray(est.adjacency)
+        np.testing.assert_allclose(
+            np.asarray(est_perm.adjacency), A[np.ix_(perm, perm)], rtol=0, atol=1e-12
+        )
+
+
 class TestAdaptiveRho:
     def test_rho_grows_on_lagrangian_increase(self):
         _, _, X = make_connected_fixture(p=7, n=600, seed=19)
@@ -420,6 +495,19 @@ class TestAugmentedLagrangian:
         state = DualState(SymmetricMatrix(last["theta"]), SymmetricMatrix(last["Y"]), last["y"])
         value = augmented_lagrangian(
             state, WeightVector(last["w"], 6), S, est.config, "connected-gaussian"
+        )
+        assert value == pytest.approx(est.trace.lagrangian[-1], rel=1e-12)
+
+    def test_matches_trace_value_student(self):
+        _, _, X = make_connected_fixture(p=6, n=700, seed=47)
+        snaps = []
+        est = learn_connected_t(
+            X, SolverConfig(nu=4.0, max_iter=25), callback=lambda it, s: snaps.append(s)
+        )
+        last = snaps[-1]
+        state = DualState(SymmetricMatrix(last["theta"]), SymmetricMatrix(last["Y"]), last["y"])
+        value = augmented_lagrangian(
+            state, WeightVector(last["w"], 6), X, est.config, "connected-t"
         )
         assert value == pytest.approx(est.trace.lagrangian[-1], rel=1e-12)
 
