@@ -67,6 +67,7 @@ class RunManifest:
     outputs: dict
     seed: int | None
     version: str
+    numpy: str
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -271,6 +272,7 @@ def cmd_learn(args):
         outputs={"graph": args.out, "trace": args.trace, "manifest": manifest_path},
         seed=args.seed,
         version=__version__,
+        numpy=np.__version__,
     )
     with open(manifest_path, "w") as fh:
         fh.write(manifest.to_json())

@@ -12,8 +12,10 @@ Four estimators share one primal-dual loop:
 * ``learn_kt`` -- k components plus Student-t likelihood.
 
 Each outer iteration updates the auxiliary precision variable Theta through a
-closed-form log-det prox, runs a short projected-gradient inner loop on the
-edge weights w (step size from the analytic curvature bound), optionally
+closed-form log-det prox, runs a short accelerated projected-gradient inner
+loop on the edge weights w (FISTA with adaptive restart, step size from the
+analytic curvature bound; the Student-t methods reweight the observations
+once per w-step, at the incoming w), optionally
 refreshes the spectral subspace V, and performs dual ascent on the two
 constraint blocks Theta = L(w) and degrees(w) = d.  The k-component methods
 double the subspace weight eta while L(w) has fewer than k zero eigenvalues
@@ -86,7 +88,7 @@ class SolverConfig:
     degree_target: object = None
     tol: float = 1e-6
     max_iter: int = 10000
-    inner_iter: int = 5
+    inner_iter: int = 20
     adaptive_rho: bool = False
     rho_growth: float = 1.1
     rho_max: float = 1e6
@@ -205,7 +207,7 @@ def weighted_scatter(X, w, nu):
     result is the weighted average of the outer products x_i x_i^T.  The
     quadratic forms come from X and L(w) in one pass, so memory stays
     O(n p + p^2) and no matrix is formed per observation.  The Student-t
-    inner loop uses the same scatter as its data term.
+    w-step uses the same scatter, taken at its incoming w, as its data term.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -220,11 +222,12 @@ def weighted_scatter(X, w, nu):
 
 
 def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
-    """One w-update: the linear term c0, then the projected inner loop.
+    """One w-update: the linear term c0, then the accelerated inner loop.
 
     c0 = L*(C) + d*(y - rho d) with C = -Y - rho Theta (+ penalty) (+ S).
     student = (X, nu), with X the n x p data matrix, selects the Student-t
-    loop, which reweights the rows of X at every step, so S is left out of C.
+    loop, which reweights the rows of X once, at the incoming w, and adds
+    that scatter in place of S, so S is left out of C.
     """
     p = d.size
     ii, jj = edge_pairs(p)
@@ -234,6 +237,8 @@ def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
     if student is None:
         C = C + S
     c0 = _kernels.lap_adjoint(C, ii, jj) + _kernels.degree_adjoint(y - rho * d, ii, jj)
+    # C is p x p; freed here so it does not add to the inner loop's peak memory
+    del C
     n_steps, step_tol = config.inner_iter, config.tol / 10.0
     if student is None:
         return _kernels.mm_inner_gaussian(w, c0, rho, p, n_steps, step_tol, ii, jj)
@@ -242,13 +247,15 @@ def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
 
 
 def w_inner_update_gaussian(w, theta, Y, y, S, config, eta_term=None):
-    """Run the projected-gradient inner loop of the Gaussian w-subproblem.
+    """Run the accelerated inner loop of the Gaussian w-subproblem.
 
-    Performs config.inner_iter steps of
-    w <- (w - (a + b) / (2 rho (2p - 1)))_+ where a and b are the Laplacian-
-    and degree-adjoint parts of the subproblem gradient, with an early exit
-    once the step falls below tol/10 in max-norm.  eta_term, when given, is
-    added to S (the spectral-subspace penalty of the k-component methods).
+    Performs up to config.inner_iter FISTA steps
+    w <- (z - (a + b) / (2 rho (2p - 1)))_+ where a and b are the Laplacian-
+    and degree-adjoint parts of the subproblem gradient at the extrapolated
+    point z (z = w on the first step, and whenever the momentum restarts),
+    with an early exit once a step moves w by less than tol/10 in max-norm.
+    eta_term, when given, is added to S (the spectral-subspace penalty of the
+    k-component methods).
     """
     values, p = _as_weights(w)
     penalty = None if eta_term is None else _as_matrix(eta_term)
@@ -520,8 +527,9 @@ def learn_connected_gaussian(S, config=None, names=None, callback=None, w0=None)
 
     Alternates the closed-form log-det prox for the auxiliary precision
     (shifted by the rank-one constant matrix J so the determinant is proper),
-    the projected-gradient inner loop for the edge weights, and dual ascent,
-    until both primal residuals are below config.tol in max-norm.
+    the accelerated projected-gradient inner loop for the edge weights (up to
+    config.inner_iter FISTA steps), and dual ascent, until both primal
+    residuals are below config.tol in max-norm.
     """
     return _run_admm("connected-gaussian", S, None, config or SolverConfig(), names, callback, w0)
 
@@ -547,10 +555,12 @@ def learn_connected_t(X, config=None, names=None, callback=None, w0=None):
 
     X is the n x p data matrix, assumed zero-mean: it is not centered, and
     the warm start reads X^T X / n.  The loop is the Gaussian one except that
-    the weight subproblem reweights the observations at every inner iterate:
-    an observation with a large quadratic form x^T L(w) x under the current
-    Laplacian is down-weighted by (p + nu) / (x^T L(w) x + nu).  The
-    quadratic forms are computed from X and L(w), so memory is O(n p + p^2).
+    each w-step first reweights the observations at the incoming w: an
+    observation with a large quadratic form x^T L(w) x is down-weighted by
+    (p + nu) / (x^T L(w) x + nu).  The weighted scatter then stands in for S
+    for the whole inner loop, the tangent majorizer of the Student-t data
+    term at w.  The quadratic forms are computed from X and L(w), so memory
+    is O(n p + p^2).
     """
     config = config or SolverConfig()
     return _run_admm("connected-t", None, X, config, names, callback, w0)

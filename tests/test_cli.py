@@ -135,6 +135,25 @@ class TestLearn:
         assert run_cli("learn", "--from-manifest", manifest) == 0
         assert out.read_bytes() == first
 
+    def test_manifest_records_numpy_and_reruns_without_it(self, tmp_path, returns_csv):
+        path, _ = returns_csv
+        out = tmp_path / "graph.json"
+        manifest = tmp_path / "run.manifest.json"
+        assert run_cli(
+            "learn", "--input", path, "--method", "connected",
+            "--out", out, "--manifest", manifest,
+        ) == 0
+        doc = json.loads(manifest.read_text())
+        assert doc["numpy"] == np.__version__
+        # a manifest written before the field existed still reruns
+        del doc["numpy"]
+        older = tmp_path / "older.manifest.json"
+        older.write_text(json.dumps(doc))
+        first = out.read_bytes()
+        out.unlink()
+        assert run_cli("learn", "--from-manifest", older) == 0
+        assert out.read_bytes() == first
+
     def test_prices_flag(self, tmp_path, rng):
         prices = np.exp(np.cumsum(rng.standard_normal((300, 4)) * 0.01, axis=0))
         path = tmp_path / "prices.csv"
