@@ -31,13 +31,11 @@ from .metrics import (
     relative_error,
 )
 from .operators import (
-    EdgeIndex,
     SymmetricMatrix,
     WeightVector,
     adjacency_op,
     degree_adj,
     degree_op,
-    edge_endpoints,
     edge_linear_index,
     edge_pairs,
     laplacian_adj,
@@ -53,7 +51,6 @@ from .preprocess import (
     similarity,
 )
 from .solvers import (
-    DualState,
     GraphEstimate,
     SolverConfig,
     SolverTrace,
@@ -63,11 +60,9 @@ from .solvers import (
     learn_connected_t,
     learn_k_component_gaussian,
     learn_kt,
-    w_inner_update_gaussian,
     weighted_scatter,
 )
 from .spectral import (
-    EigenPair,
     SubspaceMatrix,
     fan_subspace,
     prox_logdet,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .errors import MarketGraphError, ParameterError
+from .errors import DataError, MarketGraphError, ParameterError
 from .io import (
     _config_dict,
     read_graph_json,
@@ -82,10 +82,14 @@ def _parse_degree(text, p):
         pass
     values = []
     with open(text) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 values.append(float(line))
+            except ValueError:
+                raise DataError(f"{text}: line {number}: {line!r} is not a number") from None
     if len(values) != p:
         raise ParameterError(f"degree file lists {len(values)} values for p={p} nodes")
     return np.asarray(values)
@@ -128,8 +132,6 @@ def _build_parser():
                        default="correlation")
     learn.add_argument("--remove-market", action="store_true",
                        help="zero the top eigenvalue of the similarity matrix")
-    learn.add_argument("--init", choices=["pinv", "pinv-neg"],
-                       default=_CONFIG_DEFAULTS["init"])
     learn.add_argument("--seed", type=int, default=None,
                        help="recorded in the manifest for provenance")
     learn.add_argument("--out", help="output graph JSON path")
@@ -168,6 +170,10 @@ def _learn_from_manifest(path):
     with open(path) as fh:
         doc = json.load(fh)
     cfg = doc["config"]
+    # older manifests record the warm start; only the negated readout remains
+    init = cfg.get("init", "pinv-neg")
+    if init != "pinv-neg":
+        raise ParameterError(f"{path}: init mode {init!r} was removed; only 'pinv-neg' remains")
     args = argparse.Namespace(
         input=doc["input"],
         prices=doc["prices"],
@@ -183,7 +189,6 @@ def _learn_from_manifest(path):
         degree=None,
         similarity=doc["similarity"]["kind"],
         remove_market=doc["similarity"]["market_removed"],
-        init=cfg["init"],
         seed=doc["seed"],
         out=doc["outputs"]["graph"],
         trace=doc["outputs"].get("trace"),
@@ -232,7 +237,6 @@ def cmd_learn(args):
         max_iter=args.max_iter,
         inner_iter=args.inner_iter,
         adaptive_rho=args.adaptive_rho,
-        init=args.init,
     )
     spec = SimilaritySpec(kind=args.similarity, market_removed=args.remove_market)
 

@@ -136,7 +136,6 @@ def _config_dict(config):
         "rho_growth": float(config.rho_growth),
         "rho_max": float(config.rho_max),
         "rank_tol": float(config.rank_tol),
-        "init": config.init,
     }
     target = config.degree_target
     if target is None:

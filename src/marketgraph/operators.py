@@ -4,7 +4,7 @@ A graph on ``p`` nodes is represented by a nonnegative weight vector of
 length ``m = p(p-1)/2``.  Edge ``k`` connects the node pair ``(i, j)`` with
 ``i > j`` under the column-major lower-triangle ordering: in 1-based index
 arithmetic ``k = i - j + (j-1)(2p-j)/2``.  Nodes are stored 0-based
-internally; :func:`edge_linear_index` / :func:`edge_endpoints` are the single
+internally; :func:`edge_linear_index` and :func:`edge_pairs` are the single
 source of truth for the mapping.
 """
 
@@ -18,13 +18,11 @@ from .errors import DimensionError
 
 __all__ = [
     "WeightVector",
-    "EdgeIndex",
     "SymmetricMatrix",
     "edge_count",
     "node_count_from_edges",
     "edge_pairs",
     "edge_linear_index",
-    "edge_endpoints",
     "laplacian_op",
     "adjacency_op",
     "degree_op",
@@ -65,46 +63,11 @@ def edge_pairs(p):
     return cached
 
 
-def _column_offsets(p):
-    # offsets[j] = number of edges in columns < j (0-based j)
-    j = np.arange(p)
-    return (j * (2 * p - j - 1)) // 2
-
-
 def edge_linear_index(i, j, p):
     "Linear edge index k for node pair i > j (all 0-based)."
     if not 0 <= j < i < p:
         raise DimensionError(f"need 0 <= j < i < p, got i={i}, j={j}, p={p}")
     return (j * (2 * p - j - 1)) // 2 + (i - j - 1)
-
-
-def edge_endpoints(k, p):
-    "Node pair (i, j), i > j, of linear edge index k (all 0-based)."
-    m = edge_count(p)
-    if not 0 <= k < m:
-        raise DimensionError(f"edge index {k} out of range for p={p}")
-    offsets = _column_offsets(p)
-    j = int(np.searchsorted(offsets, k, side="right")) - 1
-    i = j + 1 + (k - int(offsets[j]))
-    return i, j
-
-
-@dataclass(frozen=True)
-class EdgeIndex:
-    """An edge as node pair (i > j) together with its linear index k."""
-
-    i: int
-    j: int
-    k: int
-
-    @classmethod
-    def from_nodes(cls, i, j, p):
-        return cls(i, j, edge_linear_index(i, j, p))
-
-    @classmethod
-    def from_linear(cls, k, p):
-        i, j = edge_endpoints(k, p)
-        return cls(i, j, k)
 
 
 @dataclass(frozen=True)
@@ -162,10 +125,7 @@ class SymmetricMatrix:
         M = np.asarray(self.entries, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-        gap = np.max(np.abs(M - M.T)) if M.size else 0.0
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-        if gap > tol:
-            raise DimensionError(f"matrix is asymmetric: max |M - M^T| = {gap:.3e}")
+        _check_symmetric(M)
         M = (M + M.T) / 2.0
         M.flags.writeable = False
         object.__setattr__(self, "entries", M)
@@ -176,6 +136,14 @@ class SymmetricMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
+
+
+def _check_symmetric(M):
+    "Reject asymmetry beyond 1e-9 relative to the largest entry, floored at 1."
+    gap = np.max(np.abs(M - M.T)) if M.size else 0.0
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
+    if gap > tol:
+        raise DimensionError(f"matrix is asymmetric: max |M - M^T| = {gap:.3e}")
 
 
 def _as_weights(w, p=None):

@@ -172,7 +172,6 @@ def remove_market(S):
     eigenvector is near-constant for correlated asset panels).
     """
     S = _as_matrix(S)
-    pair = eigendecompose(S)
-    lam = pair.eigenvalues.copy()
+    lam, U = eigendecompose(S)
     lam[-1] = 0.0
-    return SymmetricMatrix((pair.eigenvectors * lam) @ pair.eigenvectors.T)
+    return SymmetricMatrix((U * lam) @ U.T)

@@ -39,6 +39,7 @@ from .operators import (
     WeightVector,
     _as_matrix,
     _as_weights,
+    _check_symmetric,
     adjacency_op,
     edge_pairs,
     laplacian_op,
@@ -48,11 +49,9 @@ from .spectral import DEFAULT_RANK_TOL, fan_subspace, prox_logdet, prox_logdet_r
 __all__ = [
     "METHODS",
     "SolverConfig",
-    "DualState",
     "SolverTrace",
     "GraphEstimate",
     "init_weights",
-    "w_inner_update_gaussian",
     "weighted_scatter",
     "augmented_lagrangian",
     "learn_connected_gaussian",
@@ -93,7 +92,6 @@ class SolverConfig:
     rho_growth: float = 1.1
     rho_max: float = 1e6
     rank_tol: float = DEFAULT_RANK_TOL
-    init: str = "pinv-neg"
 
     def resolved_degrees(self, p):
         "Degree target as a validated length-p vector."
@@ -116,8 +114,6 @@ class SolverConfig:
             raise ParameterError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1 or self.inner_iter < 1:
             raise ParameterError("max_iter and inner_iter must be >= 1")
-        if self.init not in ("pinv", "pinv-neg"):
-            raise ParameterError(f"unknown init mode {self.init!r}")
         if method in _K_METHODS:
             # positive degree targets give every node an edge, so every
             # component has at least two nodes
@@ -133,15 +129,6 @@ class SolverConfig:
             if self.nu <= 2:
                 raise ParameterError(f"nu must exceed 2, got {self.nu}")
         self.resolved_degrees(p)
-
-
-@dataclass
-class DualState:
-    """ADMM state: auxiliary precision Theta and dual pair (Y, y)."""
-
-    theta: SymmetricMatrix
-    Y: SymmetricMatrix
-    y: np.ndarray
 
 
 @dataclass
@@ -181,23 +168,20 @@ class GraphEstimate:
         return adjacency_op(self.weights)
 
 
-def init_weights(S, negate=False):
+def init_weights(S):
     """Initial edge weights read from the pseudo-inverse of a similarity matrix.
 
-    Default mode projects the strict-lower-triangle entries of pinv(S) onto
-    the nonnegative orthant; negate=True reads the negated off-diagonals
-    instead (the adjacency-style readout, which is the meaningful warm start
-    when pinv(S) is close to a Laplacian).  Eigenvalues below
-    DEFAULT_RANK_TOL times the largest are treated as zero, so the round-off
-    null space of a rank-deficient S does not blow up the warm start.
+    Projects the negated strict-lower-triangle entries of pinv(S) onto the
+    nonnegative orthant: a Laplacian's edges are its negative off-diagonals,
+    so this is the adjacency readout of pinv(S) taken as a precision matrix.
+    Eigenvalues below DEFAULT_RANK_TOL times the largest are treated as zero,
+    so the round-off null space of a rank-deficient S does not blow up the
+    warm start.
     """
     S = _as_matrix(S)
     P = np.linalg.pinv(S, rcond=DEFAULT_RANK_TOL, hermitian=True)
     ii, jj = edge_pairs(S.shape[0])
-    wt = P[ii, jj]
-    if negate:
-        wt = -wt
-    return WeightVector(np.maximum(wt, 0.0), S.shape[0])
+    return WeightVector(np.maximum(-P[ii, jj], 0.0), S.shape[0])
 
 
 def weighted_scatter(X, w, nu):
@@ -244,26 +228,6 @@ def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
         return _kernels.mm_inner_gaussian(w, c0, rho, p, n_steps, step_tol, ii, jj)
     X, nu = student
     return _kernels.mm_inner_student(w, c0, X, nu, rho, p, n_steps, step_tol, ii, jj)
-
-
-def w_inner_update_gaussian(w, theta, Y, y, S, config, eta_term=None):
-    """Run the accelerated inner loop of the Gaussian w-subproblem.
-
-    Performs up to config.inner_iter FISTA steps
-    w <- (z - (a + b) / (2 rho (2p - 1)))_+ where a and b are the Laplacian-
-    and degree-adjoint parts of the subproblem gradient at the extrapolated
-    point z (z = w on the first step, and whenever the momentum restarts),
-    with an early exit once a step moves w by less than tol/10 in max-norm.
-    eta_term, when given, is added to S (the spectral-subspace penalty of the
-    k-component methods).
-    """
-    values, p = _as_weights(w)
-    penalty = None if eta_term is None else _as_matrix(eta_term)
-    out = _w_step(
-        values, _as_matrix(theta), _as_matrix(Y), np.asarray(y, dtype=float),
-        config.resolved_degrees(p), config.rho, config, S=_as_matrix(S), penalty=penalty,
-    )
-    return WeightVector(out, p)
 
 
 def _logdet_term(x, p, method, k, rank_tol):
@@ -319,9 +283,11 @@ def _lagrangian(method, w, Lw, x, Y, y, r, s, rho, config,
     return obj
 
 
-def augmented_lagrangian(state, w, data, config, method, V=None):
-    """Evaluate the partial augmented Lagrangian of a solver state.
+def augmented_lagrangian(theta, Y, y, w, data, config, method, V=None):
+    """Evaluate the partial augmented Lagrangian at the ADMM state (Theta, Y, y, w).
 
+    Theta is the auxiliary precision and (Y, y) the dual pair.  At a
+    callback snapshot it equals that iteration's ``trace.lagrangian`` value.
     data is the similarity matrix S for the Gaussian methods and the n x p
     data matrix X for the Student-t methods.  V (the spectral subspace) is
     required by the k-component methods; when omitted it is taken as the
@@ -331,9 +297,9 @@ def augmented_lagrangian(state, w, data, config, method, V=None):
         raise ParameterError(f"unknown method {method!r}")
     values, p = _as_weights(w)
     ii, jj = edge_pairs(p)
-    theta = _as_matrix(state.theta)
-    Y = _as_matrix(state.Y)
-    y = np.asarray(state.y, dtype=float)
+    theta = _as_matrix(theta)
+    Y = _as_matrix(Y)
+    y = np.asarray(y, dtype=float)
     d = config.resolved_degrees(p)
     rho = config.rho
     Lw = _kernels.lap_matrix(values, ii, jj, p)
@@ -394,7 +360,11 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
         n, p = X.shape
         S = X.T @ X / n
     else:
+        plain = not isinstance(S, SymmetricMatrix)
         S = _as_matrix(S)
+        if plain:
+            # a SymmetricMatrix passed this check when it was built; not copied
+            _check_symmetric(S)
         p = S.shape[0]
     if p < 2:
         raise DimensionError("need at least 2 nodes")
@@ -419,7 +389,7 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
     J = np.full((p, p), 1.0 / p)
 
     if w0 is None:
-        w = np.asarray(init_weights(S, negate=config.init == "pinv-neg").values)
+        w = np.asarray(init_weights(S).values)
     else:
         w = np.asarray(_as_weights(w0, p)[0]).copy()
     Y = np.zeros((p, p))
@@ -529,7 +499,8 @@ def learn_connected_gaussian(S, config=None, names=None, callback=None, w0=None)
     (shifted by the rank-one constant matrix J so the determinant is proper),
     the accelerated projected-gradient inner loop for the edge weights (up to
     config.inner_iter FISTA steps), and dual ascent, until both primal
-    residuals are below config.tol in max-norm.
+    residuals are below config.tol in max-norm.  A plain-array S asymmetric
+    beyond SymmetricMatrix's bound raises DimensionError.
     """
     return _run_admm("connected-gaussian", S, None, config or SolverConfig(), names, callback, w0)
 
@@ -544,7 +515,8 @@ def learn_k_component_gaussian(S, config=None, names=None, callback=None, w0=Non
     step eta doubles while L(w) has fewer than k zero eigenvalues (below
     rank_tol * lambda_max) and halves while it has more; trace.eta records
     it per iteration.  Node degrees are pinned to the degree target, which
-    rules out isolated nodes.
+    rules out isolated nodes.  S must be symmetric, as for
+    :func:`learn_connected_gaussian`.
     """
     config = config or SolverConfig()
     return _run_admm("k-gaussian", S, None, config, names, callback, w0)

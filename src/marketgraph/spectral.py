@@ -13,7 +13,6 @@ from .errors import DegenerateInputError, NumericalError, ParameterError
 from .operators import SymmetricMatrix, _as_matrix
 
 __all__ = [
-    "EigenPair",
     "ProxMatrix",
     "SubspaceMatrix",
     "eigendecompose",
@@ -25,14 +24,6 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigendecomposition with eigenvalues ascending and orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,25 +57,24 @@ class SubspaceMatrix:
             raise NumericalError(f"columns not orthonormal: |V^T V - I| = {gram_gap:.3e}")
         object.__setattr__(self, "columns", V)
 
-    def projector(self):
-        "Rank-k orthogonal projector V V^T."
-        return self.columns @ self.columns.T
-
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.columns, dtype=dtype)
 
 
 def eigendecompose(M):
-    "Symmetric eigendecomposition with error wrapping."
+    """Symmetric eigendecomposition with error wrapping.
+
+    Returns eigh's (eigenvalues, eigenvectors): eigenvalues ascending,
+    eigenvectors as orthonormal columns.
+    """
     M = _as_matrix(M)
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(M)
+        return np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigendecomposition failed for a {M.shape[0]}x{M.shape[0]} matrix "
             f"(max |entry| = {np.max(np.abs(M)):.3e}): {exc}"
         ) from exc
-    return EigenPair(eigenvalues, eigenvectors)
 
 
 def _prox_eigenvalue_map(gamma, rho):
@@ -98,9 +88,9 @@ def _prox_eigenvalue_map(gamma, rho):
 def _prox_top(M, rho, k):
     # U_k Diag(x) U_k^T over the p - k largest eigenvalues of M, and x; the
     # eigenvectors are freed on return, before the caller symmetrizes
-    pair = eigendecompose(M)
-    U = pair.eigenvectors[:, k:]
-    x = _prox_eigenvalue_map(pair.eigenvalues[k:], rho)
+    gamma, U = eigendecompose(M)
+    U = U[:, k:]
+    x = _prox_eigenvalue_map(gamma[k:], rho)
     return (U * x) @ U.T, x
 
 
@@ -147,8 +137,8 @@ def fan_subspace(L, k):
     p = L.shape[0]
     if not 1 <= k < p:
         raise ParameterError(f"component count k={k} must satisfy 1 <= k < p={p}")
-    pair = eigendecompose(L)
-    return SubspaceMatrix(pair.eigenvectors[:, :k].copy(), pair.eigenvalues)
+    lam, U = eigendecompose(L)
+    return SubspaceMatrix(U[:, :k].copy(), lam)
 
 
 def psd_sqrt_pinv(M, rank_tol=DEFAULT_RANK_TOL):
@@ -157,13 +147,12 @@ def psd_sqrt_pinv(M, rank_tol=DEFAULT_RANK_TOL):
     B = U_+ Diag(lambda_+^{-1/2}) over eigenvalues above rank_tol * lambda_max.
     Used to sample zero-mean vectors whose precision matrix is M.
     """
-    pair = eigendecompose(M)
-    lam = pair.eigenvalues
+    lam, U = eigendecompose(M)
     cutoff = rank_tol * max(lam[-1], 0.0)
     keep = lam > cutoff
     if not np.any(keep):
         raise DegenerateInputError("matrix has no eigenvalue above the rank tolerance")
-    return pair.eigenvectors[:, keep] / np.sqrt(lam[keep])
+    return U[:, keep] / np.sqrt(lam[keep])
 
 
 def spectral_diagnostics(M, rank_tol=DEFAULT_RANK_TOL):
@@ -175,12 +164,11 @@ def spectral_diagnostics(M, rank_tol=DEFAULT_RANK_TOL):
     variance (denominator p - 1) of each eigenvector's components, ordered by
     descending eigenvalue.
     """
-    pair = eigendecompose(M)
-    lam = pair.eigenvalues
+    lam, U = eigendecompose(M)
     tol = rank_tol * float(np.max(np.abs(lam))) if lam.size else 0.0
     if lam[0] <= tol:
         condition = np.inf
     else:
         condition = float(lam[-1] / lam[0])
-    variances = np.var(pair.eigenvectors[:, ::-1], axis=0, ddof=1)
+    variances = np.var(U[:, ::-1], axis=0, ddof=1)
     return {"condition_number": condition, "eigenvector_variances": variances}

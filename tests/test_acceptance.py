@@ -94,7 +94,7 @@ def test_criterion_04_connected_gaussian_recovery():
     est = mg.learn_connected_gaussian(S, mg.SolverConfig(tol=1e-6, max_iter=10000))
     L = np.asarray(est.laplacian)
     rel = np.linalg.norm(L - L_true) / np.linalg.norm(L_true)
-    w0 = mg.init_weights(S, negate=True)  # the solver's own initializer
+    w0 = mg.init_weights(S)  # the solver's own initializer
     rel0 = np.linalg.norm(np.asarray(mg.laplacian_op(w0)) - L_true) / np.linalg.norm(L_true)
     elapsed = time.time() - t0
     ok = (
@@ -135,7 +135,7 @@ def _penalty_method_oracle(S, p, d_t):
         grad = sadj - mg.laplacian_adj(Minv) + mu * mg.degree_adj(ds)
         return value, grad
 
-    w = np.asarray(mg.init_weights(S, negate=True)) + 1e-3
+    w = np.asarray(mg.init_weights(S)) + 1e-3
     for mu in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
         res = minimize(
             objective, w, args=(mu,), jac=True, method="L-BFGS-B",

@@ -154,6 +154,43 @@ class TestLearn:
         assert run_cli("learn", "--from-manifest", older) == 0
         assert out.read_bytes() == first
 
+    def test_manifest_init_field(self, tmp_path, returns_csv, capsys):
+        # older manifests record the warm start: the negated readout reruns
+        # bitwise, the removed positive readout is refused, not replaced
+        path, _ = returns_csv
+        out = tmp_path / "graph.json"
+        manifest = tmp_path / "run.manifest.json"
+        assert run_cli(
+            "learn", "--input", path, "--method", "connected",
+            "--out", out, "--manifest", manifest,
+        ) == 0
+        doc = json.loads(manifest.read_text())
+        assert "init" not in doc["config"]
+        first = out.read_bytes()
+        older = tmp_path / "older.manifest.json"
+        doc["config"]["init"] = "pinv-neg"
+        older.write_text(json.dumps(doc))
+        out.unlink()
+        assert run_cli("learn", "--from-manifest", older) == 0
+        assert out.read_bytes() == first
+        doc["config"]["init"] = "pinv"
+        older.write_text(json.dumps(doc))
+        out.unlink()
+        assert run_cli("learn", "--from-manifest", older) == 1
+        assert "init mode 'pinv' was removed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparseable_degree_file_is_error(self, tmp_path, returns_csv, capsys):
+        path, _ = returns_csv
+        degrees = tmp_path / "degrees.txt"
+        degrees.write_text("1.0\n\nx\n" + "1.0\n" * 6)
+        out = tmp_path / "graph.json"
+        code = run_cli("learn", "--input", path, "--degree", degrees, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("learn: ") and "degrees.txt" in err and "line 3" in err
+        assert not out.exists()
+
     def test_prices_flag(self, tmp_path, rng):
         prices = np.exp(np.cumsum(rng.standard_normal((300, 4)) * 0.01, axis=0))
         path = tmp_path / "prices.csv"
@@ -206,8 +243,8 @@ class TestLearn:
 
         args = _build_parser().parse_args(["learn"])
         cfg = SolverConfig()
-        assert (args.rho, args.tol, args.max_iter, args.inner_iter, args.init) == (
-            cfg.rho, cfg.tol, cfg.max_iter, cfg.inner_iter, cfg.init)
+        assert (args.rho, args.tol, args.max_iter, args.inner_iter) == (
+            cfg.rho, cfg.tol, cfg.max_iter, cfg.inner_iter)
 
     def test_duplicate_asset_names_rejected(self, tmp_path, rng, capsys):
         path = tmp_path / "dup.csv"

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from marketgraph import (
     DimensionError,
-    EdgeIndex,
     SymmetricMatrix,
     WeightVector,
     adjacency_op,
     degree_adj,
     degree_op,
-    edge_endpoints,
     edge_linear_index,
     edge_pairs,
     laplacian_adj,
@@ -27,34 +25,32 @@ class TestEdgeIndex:
     def test_formula_matches_documented_one_based_expression(self):
         # k = i - j + (j-1)(2p-j)/2 with 1-based indices
         for p in (2, 3, 5, 9):
+            ii, jj = edge_pairs(p)
             for k in range(edge_count(p)):
-                i, j = edge_endpoints(k, p)
-                i1, j1, k1 = i + 1, j + 1, k + 1
+                i1, j1, k1 = int(ii[k]) + 1, int(jj[k]) + 1, k + 1
                 assert k1 == i1 - j1 + (j1 - 1) * (2 * p - j1) // 2
 
     @pytest.mark.parametrize("p", [2, 3, 7, 20, 50])
     def test_round_trip(self, p):
+        ii, jj = edge_pairs(p)
+        assert ii.size == edge_count(p)
         for k in range(edge_count(p)):
-            i, j = edge_endpoints(k, p)
-            assert i > j
-            assert edge_linear_index(i, j, p) == k
+            assert ii[k] > jj[k]
+            assert edge_linear_index(int(ii[k]), int(jj[k]), p) == k
 
     def test_edge_pairs_agree_with_scalar_mapping(self):
+        # every node pair i > j appears once, at its linear index
         p = 8
         ii, jj = edge_pairs(p)
-        for k in range(edge_count(p)):
-            assert (ii[k], jj[k]) == edge_endpoints(k, p)
-
-    def test_dataclass_constructors(self):
-        e = EdgeIndex.from_nodes(2, 0, 3)
-        assert e.k == 1
-        assert EdgeIndex.from_linear(1, 3) == e
+        pairs = [(i, j) for j in range(p) for i in range(j + 1, p)]
+        assert sorted(pairs, key=lambda e: edge_linear_index(*e, p)) == list(
+            zip(ii.tolist(), jj.tolist()))
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(DimensionError):
             edge_linear_index(0, 1, 3)
         with pytest.raises(DimensionError):
-            edge_endpoints(3, 3)
+            edge_linear_index(3, 0, 3)
         with pytest.raises(DimensionError):
             node_count_from_edges(4)
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from marketgraph import (
+    DimensionError,
     DivergenceError,
-    DualState,
     ParameterError,
     SolverConfig,
     SymmetricMatrix,
@@ -25,9 +25,9 @@ from marketgraph import (
     sample_lgmrf,
     sample_student_t,
     similarity,
-    w_inner_update_gaussian,
     weighted_scatter,
 )
+from marketgraph import solvers
 from marketgraph.operators import degree_adj, edge_count
 
 from conftest import partitions_equal, sinkhorn_degrees
@@ -46,23 +46,34 @@ class TestInitWeights:
         np.testing.assert_array_equal(np.asarray(w), np.zeros(6))
 
     def test_negate_mode_projection(self):
-        # pinv of this S has a negative entry at edge (1, 0)
+        # pinv of this S has a negative entry at edge (1, 0), which the
+        # readout negates into a positive weight; a positive entry projects to 0
         S = np.array([[2.0, 1.0], [1.0, 2.0]])
         P = np.linalg.pinv(S)
         assert P[1, 0] < 0
-        assert np.asarray(init_weights(S))[0] == 0.0
-        assert np.asarray(init_weights(S, negate=True))[0] == pytest.approx(-P[1, 0])
+        assert np.asarray(init_weights(S))[0] == pytest.approx(-P[1, 0])
+        assert np.asarray(init_weights(np.array([[2.0, -1.0], [-1.0, 2.0]])))[0] == 0.0
 
     def test_matches_direct_pinv_readout(self, rng):
         X = rng.standard_normal((200, 3))
         S = correlation_of(X)
         P = np.linalg.pinv(S)
         w = np.asarray(init_weights(S))
-        expected = np.maximum([P[1, 0], P[2, 0], P[2, 1]], 0.0)
+        expected = np.maximum([-P[1, 0], -P[2, 0], -P[2, 1]], 0.0)
+        # both a kept and a projected entry, so the readout's sign is pinned
+        assert np.any(expected > 0) and np.any(expected == 0)
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
 
 class TestInnerUpdate:
+    @staticmethod
+    def _w_step(w, theta, Y, y, S, cfg):
+        # the solver's Gaussian w-update at the default degree target
+        p = theta.shape[0]
+        return solvers._w_step(
+            np.asarray(w, dtype=float), theta, Y, y, cfg.resolved_degrees(p), cfg.rho, cfg, S=S
+        )
+
     def _subproblem_objective(self, w, S, theta, Y, y, d, rho):
         # rho/2 w'(dd* + LL*)w + <w, L*(S - Y - rho theta) + d*(y - rho d)>
         p = theta.shape[0]
@@ -77,7 +88,7 @@ class TestInnerUpdate:
         w = WeightVector(np.zeros(edge_count(p)), p)
         S = np.eye(p)
         cfg = SolverConfig(rho=1.0)
-        out = w_inner_update_gaussian(
+        out = self._w_step(
             w, np.zeros((p, p)), S, cfg.rho * np.ones(p), S, cfg
         )
         # gradient at zero: L*(S - S) + d*(rho*1 - rho*1) = 0
@@ -92,7 +103,7 @@ class TestInnerUpdate:
         theta = np.asarray(laplacian_op(w))
         d = degree_op(w)
         cfg = SolverConfig(rho=1.0, inner_iter=1)
-        out = w_inner_update_gaussian(w, theta, np.zeros((p, p)), np.zeros(p), 5 * np.eye(p), cfg)
+        out = self._w_step(w, theta, np.zeros((p, p)), np.zeros(p), 5 * np.eye(p), cfg)
         np.testing.assert_allclose(np.asarray(out), np.zeros(3), atol=1e-15)
 
     def test_matches_long_run_projected_gradient_oracle(self, rng):
@@ -116,7 +127,7 @@ class TestInnerUpdate:
 
         cfg = SolverConfig(rho=rho, inner_iter=5000, tol=1e-10)
         w_f = np.asarray(
-            w_inner_update_gaussian(WeightVector(np.full(m, 0.5), p), theta, Y, y, S, cfg)
+            self._w_step(WeightVector(np.full(m, 0.5), p), theta, Y, y, S, cfg)
         )
         np.testing.assert_allclose(w_f, w_o, atol=1e-6)
 
@@ -134,7 +145,7 @@ class TestInnerUpdate:
         cfg = SolverConfig(rho=rho, inner_iter=1, tol=1e-12)
         for _ in range(30):
             w = np.asarray(
-                w_inner_update_gaussian(WeightVector(w, p), theta, Y, y, S, cfg)
+                self._w_step(WeightVector(w, p), theta, Y, y, S, cfg)
             )
             cur = self._subproblem_objective(w, S, theta, Y, y, d, rho)
             assert cur <= prev + 1e-12
@@ -199,7 +210,7 @@ class TestConnectedGaussian:
         np.testing.assert_allclose(degree_op(est.weights), 1.0, atol=1e-4)
         # estimate must beat the initializer
         rel = np.linalg.norm(L - L_true) / np.linalg.norm(L_true)
-        w0 = init_weights(S, negate=True)
+        w0 = init_weights(S)
         rel0 = np.linalg.norm(np.asarray(laplacian_op(w0)) - L_true) / np.linalg.norm(L_true)
         assert rel < rel0
 
@@ -242,6 +253,22 @@ class TestConnectedGaussian:
         with pytest.raises(DivergenceError) as err:
             learn_connected_gaussian(correlation_of(X))
         assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("learn", [learn_connected_gaussian, learn_k_component_gaussian])
+    def test_non_symmetric_similarity_rejected(self, learn):
+        # the data term would read (S + S^T)/2 and the start only S's lower
+        # triangle, so an asymmetric S is refused before the first iteration
+        calls = []
+        with pytest.raises(DimensionError, match="asymmetric"):
+            learn(np.arange(9.0).reshape(3, 3), callback=lambda it, s: calls.append(it))
+        assert calls == []
+        # the bound is SymmetricMatrix's: 1e-9 relative to the largest entry
+        S = correlation_of(make_connected_fixture(p=4, n=300, seed=3)[2])
+        E = np.zeros((4, 4))
+        E[1, 0] = 1.0
+        with pytest.raises(DimensionError):
+            learn(S + 1e-8 * E, SolverConfig(k=2, max_iter=1))
+        assert learn(S + 1e-10 * E, SolverConfig(k=2, max_iter=1)).iterations == 1
 
 
     @pytest.mark.parametrize("seed", [3, 10, 17, 22, 25, 26, 31])
@@ -388,9 +415,9 @@ class TestStudentTMemory:
     def test_augmented_lagrangian_peak(self, data):
         X, w = data
         p = self.P
-        state = DualState(SymmetricMatrix(np.eye(p)), SymmetricMatrix(np.zeros((p, p))), np.zeros(p))
+        theta, Y = SymmetricMatrix(np.eye(p)), SymmetricMatrix(np.zeros((p, p)))
         peak = self._peak_mib(lambda: augmented_lagrangian(
-            state, WeightVector(w, p), X, SolverConfig(nu=4.0), "connected-t"))
+            theta, Y, np.zeros(p), WeightVector(w, p), X, SolverConfig(nu=4.0), "connected-t"))
         assert peak < self.BOUND_MIB
 
 
@@ -461,12 +488,10 @@ class TestAugmentedLagrangian:
         L = np.asarray(laplacian_op(wv))
         S = np.eye(p)
         cfg = SolverConfig(rho=3.0)
-        state = DualState(
-            theta=SymmetricMatrix(L),
-            Y=SymmetricMatrix(np.ones((p, p))),
-            y=np.arange(p, dtype=float),
+        value = augmented_lagrangian(
+            SymmetricMatrix(L), SymmetricMatrix(np.ones((p, p))), np.arange(p, dtype=float),
+            wv, S, cfg, "connected-gaussian",
         )
-        value = augmented_lagrangian(state, wv, S, cfg, "connected-gaussian")
         J = np.full((p, p), 1.0 / p)
         expected = float(laplacian_adj(S) @ w) - np.linalg.slogdet(L + J)[1]
         assert value == pytest.approx(expected, abs=1e-9)
@@ -477,9 +502,9 @@ class TestAugmentedLagrangian:
         w = sinkhorn_degrees(np.asarray(g.weights), p, np.ones(p))
         wv = WeightVector(w, p)
         L = np.asarray(laplacian_op(wv))
-        state = DualState(SymmetricMatrix(L), SymmetricMatrix(np.zeros((p, p))), np.zeros(p))
-        v1 = augmented_lagrangian(state, wv, np.eye(p), SolverConfig(rho=1.0), "connected-gaussian")
-        v2 = augmented_lagrangian(state, wv, np.eye(p), SolverConfig(rho=2.0), "connected-gaussian")
+        state = (SymmetricMatrix(L), SymmetricMatrix(np.zeros((p, p))), np.zeros(p))
+        v1 = augmented_lagrangian(*state, wv, np.eye(p), SolverConfig(rho=1.0), "connected-gaussian")
+        v2 = augmented_lagrangian(*state, wv, np.eye(p), SolverConfig(rho=2.0), "connected-gaussian")
         assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_matches_trace_value(self):
@@ -490,9 +515,9 @@ class TestAugmentedLagrangian:
             S, SolverConfig(max_iter=25), callback=lambda it, s: snaps.append(s)
         )
         last = snaps[-1]
-        state = DualState(SymmetricMatrix(last["theta"]), SymmetricMatrix(last["Y"]), last["y"])
         value = augmented_lagrangian(
-            state, WeightVector(last["w"], 6), S, est.config, "connected-gaussian"
+            SymmetricMatrix(last["theta"]), SymmetricMatrix(last["Y"]), last["y"],
+            WeightVector(last["w"], 6), S, est.config, "connected-gaussian",
         )
         assert value == pytest.approx(est.trace.lagrangian[-1], rel=1e-12)
 
@@ -503,9 +528,9 @@ class TestAugmentedLagrangian:
             X, SolverConfig(nu=4.0, max_iter=25), callback=lambda it, s: snaps.append(s)
         )
         last = snaps[-1]
-        state = DualState(SymmetricMatrix(last["theta"]), SymmetricMatrix(last["Y"]), last["y"])
         value = augmented_lagrangian(
-            state, WeightVector(last["w"], 6), X, est.config, "connected-t"
+            SymmetricMatrix(last["theta"]), SymmetricMatrix(last["Y"]), last["y"],
+            WeightVector(last["w"], 6), X, est.config, "connected-t",
         )
         assert value == pytest.approx(est.trace.lagrangian[-1], rel=1e-12)
 
@@ -523,10 +548,9 @@ class TestAugmentedLagrangian:
         assert est.trace.eta[-1] != est.config.eta
         # every row, so the rows where eta changed are covered too
         for snap, eta, lagrangian in zip(snaps, est.trace.eta, est.trace.lagrangian):
-            state = DualState(SymmetricMatrix(snap["theta"]), SymmetricMatrix(snap["Y"]), snap["y"])
             value = augmented_lagrangian(
-                state, WeightVector(snap["w"], 40), S,
-                replace(est.config, eta=eta), "k-gaussian",
+                SymmetricMatrix(snap["theta"]), SymmetricMatrix(snap["Y"]), snap["y"],
+                WeightVector(snap["w"], 40), S, replace(est.config, eta=eta), "k-gaussian",
             )
             assert value == pytest.approx(lagrangian, rel=1e-12)
 
@@ -535,9 +559,8 @@ class TestAugmentedLagrangian:
 
         p = 5
         cfg = SolverConfig(rho=1.0, k=1, eta=1.0)
-        state = DualState(
-            SymmetricMatrix(np.zeros((p, p))), SymmetricMatrix(np.zeros((p, p))), np.zeros(p)
-        )
+        zero = SymmetricMatrix(np.zeros((p, p)))
         w = WeightVector(np.zeros(edge_count(p)), p)
         with pytest.raises(EvaluationError):
-            augmented_lagrangian(state, w, np.eye(p), cfg, "k-gaussian", V=np.eye(p)[:, :1])
+            augmented_lagrangian(zero, zero, np.zeros(p), w, np.eye(p), cfg, "k-gaussian",
+                                 V=np.eye(p)[:, :1])
