@@ -11,9 +11,7 @@ import numpy as np
 
 def lap_matrix(w, ii, jj, p):
     "Laplacian matrix from edge weights."
-    A = np.zeros((p, p))
-    A[ii, jj] = w
-    A[jj, ii] = w
+    A = adj_matrix(w, ii, jj, p)
     L = -A
     L[np.diag_indices(p)] = A.sum(axis=1)
     return L

@@ -124,8 +124,6 @@ def _build_parser():
                        help="residual tolerance")
     learn.add_argument("--max-iter", type=int, default=_CONFIG_DEFAULTS["max_iter"])
     learn.add_argument("--inner-iter", type=int, default=_CONFIG_DEFAULTS["inner_iter"])
-    learn.add_argument("--adaptive-rho", action="store_true",
-                       help="grow rho when the augmented Lagrangian increases")
     learn.add_argument("--degree", default=None,
                        help="degree target: scalar or path to a file of p values")
     learn.add_argument("--similarity", choices=["correlation", "covariance", "nmi"],
@@ -166,36 +164,55 @@ def _build_parser():
     return parser
 
 
+# config keys of removed options, each with the value that reproduces the
+# current behaviour: a manifest that carries one reruns only at that value
+_REMOVED_CONFIG = {
+    "init": "pinv-neg",
+    "adaptive_rho": False,
+    "rho_growth": 1.1,
+    "rho_max": 1e6,
+    "rank_tol": 1e-9,
+}
+
+
 def _learn_from_manifest(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    cfg = doc["config"]
-    # older manifests record the warm start; only the negated readout remains
-    init = cfg.get("init", "pinv-neg")
-    if init != "pinv-neg":
-        raise ParameterError(f"{path}: init mode {init!r} was removed; only 'pinv-neg' remains")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not a JSON manifest: {exc}") from None
+
+    def get(*keys):
+        "doc[keys[0]][keys[1]]..., or DataError naming the file and the missing key."
+        value = doc
+        for depth, key in enumerate(keys):
+            if not isinstance(value, dict) or key not in value:
+                raise DataError(f"{path}: manifest has no {'.'.join(keys[:depth + 1])!r}")
+            value = value[key]
+        return value
+
+    cfg = {f.name: get("config", f.name) for f in fields(SolverConfig)
+           if f.name != "degree_target"}
+    for key, kept in _REMOVED_CONFIG.items():
+        value = get("config").get(key, kept)
+        if value != kept:
+            raise ParameterError(f"{path}: config option {key!r} was removed; "
+                                 f"a manifest reruns only with {key}={kept!r}, not {value!r}")
     args = argparse.Namespace(
-        input=doc["input"],
-        prices=doc["prices"],
-        method=doc["method"],
-        k=cfg["k"],
-        nu=cfg["nu"],
-        rho=cfg["rho"],
-        eta=cfg["eta"],
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        inner_iter=cfg["inner_iter"],
-        adaptive_rho=cfg["adaptive_rho"],
+        input=get("input"),
+        prices=get("prices"),
+        method=get("method"),
         degree=None,
-        similarity=doc["similarity"]["kind"],
-        remove_market=doc["similarity"]["market_removed"],
-        seed=doc["seed"],
-        out=doc["outputs"]["graph"],
-        trace=doc["outputs"].get("trace"),
-        manifest=doc["outputs"].get("manifest"),
+        similarity=get("similarity", "kind"),
+        remove_market=get("similarity", "market_removed"),
+        seed=get("seed"),
+        out=get("outputs", "graph"),
+        trace=get("outputs").get("trace"),
+        manifest=get("outputs").get("manifest"),
         from_manifest=None,
+        **cfg,
     )
-    return args, cfg.get("degree_target")
+    return args, get("config").get("degree_target")
 
 
 def cmd_learn(args):
@@ -228,15 +245,9 @@ def cmd_learn(args):
         degree = _parse_degree(args.degree, p)
 
     config = SolverConfig(
-        rho=args.rho,
-        eta=args.eta,
-        nu=args.nu,
-        k=args.k,
         degree_target=degree,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        inner_iter=args.inner_iter,
-        adaptive_rho=args.adaptive_rho,
+        **{f.name: getattr(args, f.name) for f in fields(SolverConfig)
+           if f.name != "degree_target"},
     )
     spec = SimilaritySpec(kind=args.similarity, market_removed=args.remove_market)
 

@@ -12,6 +12,7 @@ bytes.
 import csv
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -124,30 +125,20 @@ def write_labels_csv(path, names, labels):
 
 
 def _config_dict(config):
-    d = {
-        "rho": float(config.rho),
-        "eta": None if config.eta is None else float(config.eta),
-        "nu": None if config.nu is None else float(config.nu),
-        "k": int(config.k),
-        "tol": float(config.tol),
-        "max_iter": int(config.max_iter),
-        "inner_iter": int(config.inner_iter),
-        "adaptive_rho": bool(config.adaptive_rho),
-        "rho_growth": float(config.rho_growth),
-        "rho_max": float(config.rho_max),
-        "rank_tol": float(config.rank_tol),
-    }
-    target = config.degree_target
-    if target is None:
-        d["degree_target"] = None
-    elif np.isscalar(target):
-        d["degree_target"] = float(target)
-    else:
-        target = np.asarray(target, dtype=float)
-        if target.size and np.all(target == target.flat[0]):
-            d["degree_target"] = float(target.flat[0])
+    "A config's fields as JSON values; a uniform degree target collapses to a scalar."
+    d = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None:
+            d[f.name] = None
+        elif f.name == "degree_target" and not np.isscalar(value):
+            target = np.asarray(value, dtype=float)
+            if target.size and np.all(target == target.flat[0]):
+                d[f.name] = float(target.flat[0])
+            else:
+                d[f.name] = [float(v) for v in target]
         else:
-            d["degree_target"] = [float(v) for v in target]
+            d[f.name] = int(value) if f.type is int else float(value)
     return d
 
 

@@ -75,9 +75,9 @@ class SolverConfig:
     or None for the all-ones default.  eta is the starting weight of the
     spectral-subspace term (k-component methods only); None resolves to
     100 * mean|S| at solve time.  The solver doubles it while L(w) has fewer
-    than k zero eigenvalues and halves it while it has more; the trace
-    records the value each iteration used.  nu is required for the Student-t
-    methods and must exceed 2.
+    than k zero eigenvalues (below DEFAULT_RANK_TOL times the largest) and
+    halves it while it has more; the trace records the value each iteration
+    used.  rho stays fixed.  nu is required for the Student-t methods, > 2.
     """
 
     rho: float = 1.0
@@ -88,10 +88,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 10000
     inner_iter: int = 20
-    adaptive_rho: bool = False
-    rho_growth: float = 1.1
-    rho_max: float = 1e6
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def resolved_degrees(self, p):
         "Degree target as a validated length-p vector."
@@ -168,6 +164,15 @@ class GraphEstimate:
         return adjacency_op(self.weights)
 
 
+def _as_similarity(S):
+    "S as an array; a plain array must pass SymmetricMatrix's asymmetry rule."
+    M = _as_matrix(S)
+    # a SymmetricMatrix passed this check when it was built; it is not copied
+    if not isinstance(S, SymmetricMatrix):
+        _check_symmetric(M)
+    return M
+
+
 def init_weights(S):
     """Initial edge weights read from the pseudo-inverse of a similarity matrix.
 
@@ -176,9 +181,10 @@ def init_weights(S):
     so this is the adjacency readout of pinv(S) taken as a precision matrix.
     Eigenvalues below DEFAULT_RANK_TOL times the largest are treated as zero,
     so the round-off null space of a rank-deficient S does not blow up the
-    warm start.
+    warm start.  A plain-array S asymmetric beyond SymmetricMatrix's bound
+    raises DimensionError.
     """
-    S = _as_matrix(S)
+    S = _as_similarity(S)
     P = np.linalg.pinv(S, rcond=DEFAULT_RANK_TOL, hermitian=True)
     ii, jj = edge_pairs(S.shape[0])
     return WeightVector(np.maximum(-P[ii, jj], 0.0), S.shape[0])
@@ -230,16 +236,16 @@ def _w_step(w, theta, Y, y, d, rho, config, S=None, penalty=None, student=None):
     return _kernels.mm_inner_student(w, c0, X, nu, rho, p, n_steps, step_tol, ii, jj)
 
 
-def _logdet_term(x, p, method, k, rank_tol):
+def _logdet_term(x, p, method, k):
     """-log det part of the objective, from eigenvalues x.
 
     Connected methods pass the eigenvalues of Theta + J, which must all be
     positive.  k-component methods pass those of Theta and use the
-    pseudo-determinant over the eigenvalues above rank_tol * max(x), of which
-    they require at least p - k.
+    pseudo-determinant over the eigenvalues above DEFAULT_RANK_TOL * max(x),
+    of which they require at least p - k.
     """
     if method in _K_METHODS:
-        pos = x[x > rank_tol * max(float(np.max(x)), 0.0)]
+        pos = x[x > DEFAULT_RANK_TOL * max(float(np.max(x)), 0.0)]
         if pos.size < p - k:
             raise EvaluationError(
                 f"Theta has {pos.size} positive eigenvalues, needs >= {p - k}"
@@ -277,7 +283,7 @@ def _lagrangian(method, w, Lw, x, Y, y, r, s, rho, config,
         obj = _student_objective(X, Lw, nu)
     if V is not None:
         obj += eta * float(_kernels.lap_adjoint(V @ V.T, ii, jj) @ w)
-    obj += _logdet_term(x, p, method, config.k, config.rank_tol)
+    obj += _logdet_term(x, p, method, config.k)
     obj += float(y @ s) + rho / 2.0 * float(s @ s)
     obj += float(np.sum(Y * r)) + rho / 2.0 * float(np.sum(r * r))
     return obj
@@ -360,11 +366,7 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
         n, p = X.shape
         S = X.T @ X / n
     else:
-        plain = not isinstance(S, SymmetricMatrix)
-        S = _as_matrix(S)
-        if plain:
-            # a SymmetricMatrix passed this check when it was built; not copied
-            _check_symmetric(S)
+        S = _as_similarity(S)
         p = S.shape[0]
     if p < 2:
         raise DimensionError("need at least 2 nodes")
@@ -422,7 +424,7 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
             subspace = fan_subspace(Lw, k)
             V = np.asarray(subspace.columns)
             lam = subspace.eigenvalues
-            nullity = int(np.sum(lam < config.rank_tol * lam[-1]))
+            nullity = int(np.sum(lam < DEFAULT_RANK_TOL * lam[-1]))
         r = theta - Lw
         s = _kernels.degree_vector(w, ii, jj, p) - d
         Y = Y + rho * r
@@ -456,9 +458,6 @@ def _run_admm(method, S, X, config, names, callback=None, w0=None):
                     "V": None if V is None else V.copy(),
                 },
             )
-
-        if config.adaptive_rho and len(lag_log) >= 2 and lag_log[-1] > lag_log[-2]:
-            rho = min(rho * config.rho_growth, config.rho_max)
 
         if r_norm <= config.tol and s_norm <= config.tol:
             converged = True
@@ -513,8 +512,8 @@ def learn_k_component_gaussian(S, config=None, names=None, callback=None, w0=Non
     subspace V tracks the k smallest-eigenvalue eigenvectors of the current
     Laplacian.  config.eta is only the starting weight: after each subspace
     step eta doubles while L(w) has fewer than k zero eigenvalues (below
-    rank_tol * lambda_max) and halves while it has more; trace.eta records
-    it per iteration.  Node degrees are pinned to the degree target, which
+    DEFAULT_RANK_TOL * lambda_max) and halves while it has more; trace.eta
+    records it per iteration.  Node degrees are pinned to the degree target, which
     rules out isolated nodes.  S must be symmetric, as for
     :func:`learn_connected_gaussian`.
     """

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import ParameterError
 from .metrics import NodeLabels
 from .operators import WeightVector, _as_matrix, edge_linear_index
-from .spectral import psd_sqrt_pinv
+from .spectral import DEFAULT_RANK_TOL, psd_sqrt_pinv
 
 __all__ = [
     "PlantedGraph",
@@ -75,7 +75,7 @@ def planted_k_component(p, k, intra_prob, weight_range=(0.5, 2.0), seed=0):
     )
 
 
-def _lgmrf_rows(L, n, rng, rank_tol=1e-9):
+def _lgmrf_rows(L, n, rng, rank_tol=DEFAULT_RANK_TOL):
     B = psd_sqrt_pinv(_as_matrix(L), rank_tol)
     z = rng.standard_normal((n, B.shape[1]))
     return z @ B.T

@@ -12,6 +12,7 @@ from scipy.optimize import minimize
 
 import marketgraph as mg
 from marketgraph.operators import edge_count
+from marketgraph.spectral import DEFAULT_RANK_TOL
 
 from conftest import dense_quad_operator, partitions_equal, sinkhorn_degrees
 
@@ -167,7 +168,7 @@ def test_criterion_06_k_component_recovery():
     X = mg.sample_lgmrf(np.asarray(mg.laplacian_op(g.weights)), n, seed=103)
     est = mg.learn_k_component_gaussian(correlation_of(X), mg.SolverConfig(k=k))
     lam = np.linalg.eigvalsh(np.asarray(est.laplacian))
-    nullity = int(np.sum(lam < est.config.rank_tol * lam[-1]))
+    nullity = int(np.sum(lam < DEFAULT_RANK_TOL * lam[-1]))
     min_degree = float(mg.degree_op(est.weights).min())
     match = partitions_equal(mg.components(est.weights), g.partition.labels)
     elapsed = time.time() - t0

@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from marketgraph import laplacian_op, modularity, sample_lgmrf
+from marketgraph import SolverConfig, laplacian_op, modularity, sample_lgmrf
 from marketgraph.cli import main
 from marketgraph.io import read_graph_json, read_labels_csv, read_panel_csv, write_panel_csv
 from marketgraph.metrics import NodeLabels
@@ -22,6 +23,16 @@ def returns_csv(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+# config keys of removed options, with the value that matches the current solver
+REMOVED_CONFIG = {
+    "init": "pinv-neg",
+    "adaptive_rho": False,
+    "rho_growth": 1.1,
+    "rho_max": 1e6,
+    "rank_tol": 1e-9,
+}
 
 
 class TestSimulate:
@@ -154,9 +165,19 @@ class TestLearn:
         assert run_cli("learn", "--from-manifest", older) == 0
         assert out.read_bytes() == first
 
-    def test_manifest_init_field(self, tmp_path, returns_csv, capsys):
-        # older manifests record the warm start: the negated readout reruns
-        # bitwise, the removed positive readout is refused, not replaced
+    @pytest.mark.parametrize("key, value, code", [
+        pytest.param(None, None, 0, id="absent"),
+        *[pytest.param(key, kept, 0, id=f"{key}-kept") for key, kept in REMOVED_CONFIG.items()],
+        pytest.param("init", "pinv", 1, id="init-pinv"),
+        pytest.param("adaptive_rho", True, 1, id="adaptive_rho-true"),
+        pytest.param("rho_growth", 1.5, 1, id="rho_growth-1.5"),
+        pytest.param("rho_max", 10.0, 1, id="rho_max-10"),
+        pytest.param("rank_tol", 1e-6, 1, id="rank_tol-1e-6"),
+    ])
+    def test_manifest_removed_config_key(self, tmp_path, returns_csv, capsys, key, value, code):
+        # older manifests record removed options: at the value that matches
+        # the current solver (or absent) they rerun bitwise, at any other
+        # value they are refused, not rerun with another behaviour
         path, _ = returns_csv
         out = tmp_path / "graph.json"
         manifest = tmp_path / "run.manifest.json"
@@ -165,20 +186,85 @@ class TestLearn:
             "--out", out, "--manifest", manifest,
         ) == 0
         doc = json.loads(manifest.read_text())
-        assert "init" not in doc["config"]
+        assert not set(REMOVED_CONFIG) & set(doc["config"])
         first = out.read_bytes()
         older = tmp_path / "older.manifest.json"
-        doc["config"]["init"] = "pinv-neg"
+        if key is not None:
+            doc["config"][key] = value
         older.write_text(json.dumps(doc))
         out.unlink()
-        assert run_cli("learn", "--from-manifest", older) == 0
-        assert out.read_bytes() == first
-        doc["config"]["init"] = "pinv"
-        older.write_text(json.dumps(doc))
-        out.unlink()
-        assert run_cli("learn", "--from-manifest", older) == 1
-        assert "init mode 'pinv' was removed" in capsys.readouterr().err
-        assert not out.exists()
+        capsys.readouterr()
+        assert run_cli("learn", "--from-manifest", older) == code
+        if code == 0:
+            assert out.read_bytes() == first
+        else:
+            err = capsys.readouterr().err
+            assert f"option {key!r} was removed" in err and repr(value) in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc["config"].pop("tol"), "'config.tol'"),
+        (lambda doc: doc.pop("similarity"), "'similarity'"),
+        ('{"config": [1]}', "'config.rho'"),
+        ("{not json", "not a JSON manifest"),
+    ], ids=["no-tol", "no-similarity", "config-not-object", "not-json"])
+    def test_malformed_manifest_is_error(self, tmp_path, returns_csv, capsys, edit, named):
+        path, _ = returns_csv
+        out = tmp_path / "graph.json"
+        manifest = tmp_path / "run.manifest.json"
+        assert run_cli(
+            "learn", "--input", path, "--method", "connected",
+            "--out", out, "--manifest", manifest,
+        ) == 0
+        if callable(edit):
+            doc = json.loads(manifest.read_text())
+            edit(doc)
+            edit = json.dumps(doc)
+        bad = tmp_path / "bad.manifest.json"
+        bad.write_text(edit)
+        capsys.readouterr()
+        assert run_cli("learn", "--from-manifest", bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("learn: ") and "bad.manifest.json" in err and named in err
+
+    def test_every_config_field_is_a_flag_and_reruns(self, tmp_path, returns_csv, monkeypatch):
+        # SolverConfig's fields are listed once: each is a learn flag, and the
+        # manifest carries every one back into the same config
+        from marketgraph import cli
+        from marketgraph.cli import _build_parser
+
+        values = {"rho": 2.0, "eta": 0.5, "nu": 5.0, "k": 2, "degree_target": 1.5,
+                  "tol": 1e-4, "max_iter": 30, "inner_iter": 7}
+        assert {f.name for f in fields(SolverConfig)} == set(values)
+        assert all(values[f.name] != f.default for f in fields(SolverConfig))
+        flags = ["--degree" if name == "degree_target" else "--" + name.replace("_", "-")
+                 for name in values]
+        learn_dests = set(vars(_build_parser().parse_args(["learn"])))
+        assert {f.name for f in fields(SolverConfig)} - learn_dests == {"degree_target"}
+        assert not set(REMOVED_CONFIG) & learn_dests
+
+        configs = []
+        learn_kt = cli.learn_kt
+
+        def capture(*args):
+            estimate = learn_kt(*args)
+            configs.append(estimate.config)
+            return estimate
+
+        monkeypatch.setattr(cli, "learn_kt", capture)
+        path, _ = returns_csv
+        out = tmp_path / "graph.json"
+        manifest = tmp_path / "run.manifest.json"
+        options = [x for flag, value in zip(flags, values.values()) for x in (flag, value)]
+        assert run_cli(
+            "learn", "--input", path, "--method", "kt", *options,
+            "--out", out, "--manifest", manifest,
+        ) in (0, 2)
+        assert run_cli("learn", "--from-manifest", manifest) in (0, 2)
+        first, rerun = configs
+        assert first.eta == values["eta"] and np.all(first.degree_target == 1.5)
+        for f in fields(SolverConfig):
+            np.testing.assert_array_equal(getattr(rerun, f.name), getattr(first, f.name))
 
     def test_unparseable_degree_file_is_error(self, tmp_path, returns_csv, capsys):
         path, _ = returns_csv

@@ -29,6 +29,7 @@ from marketgraph import (
 )
 from marketgraph import solvers
 from marketgraph.operators import degree_adj, edge_count
+from marketgraph.spectral import DEFAULT_RANK_TOL
 
 from conftest import partitions_equal, sinkhorn_degrees
 
@@ -63,6 +64,29 @@ class TestInitWeights:
         # both a kept and a projected entry, so the readout's sign is pinned
         assert np.any(expected > 0) and np.any(expected == 0)
         np.testing.assert_allclose(w, expected, atol=1e-12)
+
+    def test_asymmetric_plain_array_rejected(self, monkeypatch):
+        # pinv(hermitian=True) reads only the lower triangle, so without the
+        # check this S would give the weights of its symmetrization
+        S = np.array([[2.0, 1.0, 0.0], [0.5, 2.0, 1.0], [0.0, 0.2, 2.0]])
+        with pytest.raises(DimensionError, match="asymmetric"):
+            init_weights(S)
+        # the bound is SymmetricMatrix's: 1e-9 relative to the largest entry
+        S = correlation_of(np.random.default_rng(5).standard_normal((300, 4)))
+        E = np.zeros((4, 4))
+        E[1, 0] = 1.0
+        with pytest.raises(DimensionError):
+            init_weights(S + 1e-8 * E)
+        expected = np.asarray(init_weights(S))
+        np.testing.assert_allclose(np.asarray(init_weights(S + 1e-10 * E)), expected, atol=1e-8)
+        # a SymmetricMatrix passed the check when it was built: not checked again
+        M = SymmetricMatrix(S)
+
+        def refuse(_):
+            raise AssertionError("SymmetricMatrix checked again")
+
+        monkeypatch.setattr(solvers, "_check_symmetric", refuse)
+        np.testing.assert_array_equal(np.asarray(init_weights(M)), expected)
 
 
 class TestInnerUpdate:
@@ -295,14 +319,14 @@ class TestKComponentGaussian:
         est = learn_k_component_gaussian(correlation_of(X), SolverConfig(k=3))
         assert est.converged
         lam = np.linalg.eigvalsh(np.asarray(est.laplacian))
-        assert int(np.sum(lam < est.config.rank_tol * lam[-1])) == 3
+        assert int(np.sum(lam < DEFAULT_RANK_TOL * lam[-1])) == 3
         np.testing.assert_allclose(degree_op(est.weights), 1.0, atol=1e-4)
 
     def test_k1_has_single_zero_eigenvalue(self):
         _, _, X = make_connected_fixture(p=7, n=900, seed=23)
         est = learn_k_component_gaussian(correlation_of(X), SolverConfig(k=1))
         lam = np.linalg.eigvalsh(np.asarray(est.laplacian))
-        assert int(np.sum(lam < est.config.rank_tol * lam[-1])) == 1
+        assert int(np.sum(lam < DEFAULT_RANK_TOL * lam[-1])) == 1
 
     def test_eta_resolved_in_config_snapshot(self):
         _, _, X = make_connected_fixture(p=6, n=600, seed=29)
@@ -450,32 +474,6 @@ class TestPermutationEquivariance:
         np.testing.assert_allclose(
             np.asarray(est_perm.adjacency), A[np.ix_(perm, perm)], rtol=0, atol=1e-12
         )
-
-
-class TestAdaptiveRho:
-    def test_rho_grows_on_lagrangian_increase(self):
-        _, _, X = make_connected_fixture(p=7, n=600, seed=19)
-        S = correlation_of(X)
-        rhos = []
-        est = learn_connected_gaussian(
-            S,
-            SolverConfig(adaptive_rho=True, rho_growth=1.5),
-            callback=lambda it, s: rhos.append(s["rho"]),
-        )
-        assert est.converged
-        assert rhos[-1] > rhos[0]  # cold-start transient triggers growth
-        assert all(b >= a for a, b in zip(rhos, rhos[1:]))
-
-    def test_growth_capped_at_rho_max(self):
-        _, _, X = make_connected_fixture(p=6, n=400, seed=20)
-        S = correlation_of(X)
-        rhos = []
-        learn_connected_gaussian(
-            S,
-            SolverConfig(adaptive_rho=True, rho_growth=5.0, rho_max=10.0, max_iter=200),
-            callback=lambda it, s: rhos.append(s["rho"]),
-        )
-        assert max(rhos) <= 10.0
 
 
 class TestAugmentedLagrangian:
