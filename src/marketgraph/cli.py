@@ -191,8 +191,19 @@ def _learn_from_manifest(path):
             value = value[key]
         return value
 
-    cfg = {f.name: get("config", f.name) for f in fields(SolverConfig)
-           if f.name != "degree_target"}
+    def config_value(field):
+        "config.<field>, or DataError when it does not fit the field's annotation."
+        value = get("config", field.name)
+        optional = field.type == float | None
+        kinds = (int,) if field.type is int else (int, float)
+        if (value is None and optional) or (
+                isinstance(value, kinds) and not isinstance(value, bool)):
+            return value
+        kind = "an integer" if field.type is int else "a number"
+        kind += " or null" if optional else ""
+        raise DataError(f"{path}: manifest 'config.{field.name}' must be {kind}, not {value!r}")
+
+    cfg = {f.name: config_value(f) for f in fields(SolverConfig) if f.name != "degree_target"}
     for key, kept in _REMOVED_CONFIG.items():
         value = get("config").get(key, kept)
         if value != kept:

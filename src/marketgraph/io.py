@@ -84,16 +84,16 @@ def write_panel_csv(path, values, names, timestamps=None):
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(names):
         raise DimensionError("values shape does not match the name list")
+    rows = values.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if timestamps is not None:
             writer.writerow(["date", *names])
-            for t, row in zip(timestamps, values):
-                writer.writerow([t, *[repr(float(v)) for v in row]])
+            writer.writerows([t, *row] for t, row in zip(timestamps, rows))
         else:
             writer.writerow(list(names))
-            for row in values:
-                writer.writerow([repr(float(v)) for v in row])
+            # csv.writer writes a float as its repr and never quotes one
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def read_labels_csv(path):

@@ -13,14 +13,18 @@ Four estimators share one primal-dual loop:
 
 Each outer iteration updates the auxiliary precision variable Theta through a
 closed-form log-det prox, runs a short accelerated projected-gradient inner
-loop on the edge weights w (FISTA with adaptive restart, step size from the
-analytic curvature bound; the Student-t methods reweight the observations
-once per w-step, at the incoming w), optionally
-refreshes the spectral subspace V, and performs dual ascent on the two
-constraint blocks Theta = L(w) and degrees(w) = d.  The k-component methods
-double the subspace weight eta while L(w) has fewer than k zero eigenvalues
-and halve it while it has more.  Iterations stop when both primal residuals
-fall below the tolerance in max-norm.
+loop on the edge weights w, optionally refreshes the spectral subspace V, and
+performs dual ascent on the two constraint blocks Theta = L(w) and
+degrees(w) = d.  The inner loop is FISTA with adaptive restart and the step
+size of the analytic curvature bound.  It screens, then restricts: one step over every
+edge picks the free edges, those positive before or after it, and the later
+steps move only those, screening again when they stop early with budget left.
+When more than half of the edges are free it runs over every edge.
+config.inner_iter caps its steps, full and restricted together.  The Student-t
+methods reweight the observations once per w-step, at the incoming w.  The
+k-component methods double the subspace weight eta while L(w) has fewer than k
+zero eigenvalues and halve it while it has more.  Iterations stop when both
+primal residuals fall below the tolerance in max-norm.
 """
 
 from dataclasses import dataclass, replace
@@ -275,14 +279,14 @@ def _lagrangian(method, w, Lw, x, Y, y, r, s, rho, config,
     k-component methods.
     """
     p = r.shape[0]
-    ii, jj = edge_pairs(p)
     if student is None:
         obj = float(LS @ w)
     else:
         X, nu = student
         obj = _student_objective(X, Lw, nu)
     if V is not None:
-        obj += eta * float(_kernels.lap_adjoint(V @ V.T, ii, jj) @ w)
+        # eta tr(V^T L(w) V), equal to eta <L*(V V^T), w>, from the L(w) at hand
+        obj += eta * float(np.sum(V * (Lw @ V)))
     obj += _logdet_term(x, p, method, config.k)
     obj += float(y @ s) + rho / 2.0 * float(s @ s)
     obj += float(np.sum(Y * r)) + rho / 2.0 * float(np.sum(r * r))

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .metrics import NodeLabels
-from .operators import WeightVector, _as_matrix, edge_linear_index
+from .operators import WeightVector, _as_matrix, edge_linear_index, edge_pairs
 from .spectral import DEFAULT_RANK_TOL, psd_sqrt_pinv
 
 __all__ = [
@@ -47,12 +47,12 @@ def planted_k_component(p, k, intra_prob, weight_range=(0.5, 2.0), seed=0):
     rng = np.random.default_rng(seed)
     sizes = [p // k + (1 if b < p % k else 0) for b in range(k)]
     labels = np.repeat(np.arange(1, k + 1), sizes)
-    w = np.zeros(p * (p - 1) // 2)
+    ii, jj = edge_pairs(p)
+    w = np.zeros(ii.size)
 
     start = 0
     for size in sizes:
         nodes = np.arange(start, start + size)
-        start += size
         # random spanning tree: attach each node (in random order) to an
         # earlier one
         order = rng.permutation(nodes)
@@ -61,12 +61,24 @@ def planted_k_component(p, k, intra_prob, weight_range=(0.5, 2.0), seed=0):
             v = int(order[rng.integers(0, a)])
             i, j = (u, v) if u > v else (v, u)
             w[edge_linear_index(i, j, p)] = rng.uniform(lo, hi)
-        for a in range(size):
-            for b in range(a + 1, size):
-                if rng.uniform() < intra_prob:
-                    kk = edge_linear_index(int(nodes[b]), int(nodes[a]), p)
-                    if w[kk] == 0.0:
-                        w[kk] = rng.uniform(lo, hi)
+        # extra edges: the block's node pairs in edge order, each tested with
+        # one uniform draw; a pass over an edge not yet in the tree takes the
+        # next draw as its weight.  Draws come in chunks no larger than the
+        # draws still certain to be taken, one per untested pair and one per
+        # pending weight, so the generator ends where one draw at a time would
+        pairs = np.flatnonzero((jj >= start) & (ii < start + size)).tolist()
+        start += size
+        pos, pending = 0, None
+        while pos < len(pairs) or pending is not None:
+            for x in rng.random(len(pairs) - pos + (pending is not None)).tolist():
+                if pending is not None:
+                    w[pending] = lo + (hi - lo) * x
+                    pending = None
+                else:
+                    kk = pairs[pos]
+                    pos += 1
+                    if x < intra_prob and w[kk] == 0.0:
+                        pending = kk
 
     return PlantedGraph(
         weights=WeightVector(w, p),

@@ -227,6 +227,43 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.startswith("learn: ") and "bad.manifest.json" in err and named in err
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("tol", "abc", 1),
+        ("max_iter", 2.5, 1),
+        ("inner_iter", True, 1),
+        ("k", "1", 1),
+        ("rho", None, 1),
+        ("rho", False, 1),
+        ("nu", [4.0], 1),
+        ("eta", {}, 1),
+        ("rho", 1, 0),
+        ("tol", 1, 0),
+        ("nu", None, 0),
+        ("eta", 5.0, 0),
+    ])
+    def test_manifest_config_values_match_their_field_types(
+        self, tmp_path, returns_csv, capsys, key, value, code
+    ):
+        # int fields take an int that is not a bool, float fields an int or a
+        # float, eta and nu also null; anything else names the file and key
+        path, _ = returns_csv
+        out = tmp_path / "graph.json"
+        manifest = tmp_path / "run.manifest.json"
+        assert run_cli(
+            "learn", "--input", path, "--method", "connected",
+            "--out", out, "--manifest", manifest,
+        ) == 0
+        doc = json.loads(manifest.read_text())
+        doc["config"][key] = value
+        edited = tmp_path / "edited.manifest.json"
+        edited.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("learn", "--from-manifest", edited) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("learn: ") and "edited.manifest.json" in err
+            assert f"'config.{key}'" in err and repr(value) in err
+
     def test_every_config_field_is_a_flag_and_reruns(self, tmp_path, returns_csv, monkeypatch):
         # SolverConfig's fields are listed once: each is a learn flag, and the
         # manifest carries every one back into the same config

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,27 @@ class TestPanelCsv:
         assert stamps is None
         assert dropped == 0
         np.testing.assert_array_equal(values, X)  # repr round-trips exactly
+
+    @pytest.mark.parametrize("with_dates", [False, True])
+    def test_bytes_equal_per_cell_csv_writer(self, tmp_path, rng, with_dates):
+        # the writer before rows were joined directly: one repr string per cell
+        X = rng.standard_normal((30, 4)) * np.array([1e-12, 1.0, 3e7, -2.5])
+        X[0] = [0.0, -0.0, 1e300, 123456789.0]
+        names = ["a", "b,c", 'd"e', "f"]
+        stamps = None
+        if with_dates:
+            stamps = [f"2020-01-{i:02d}" for i in range(1, 31)]
+            stamps[1] = "2 Jan, 2020"  # a cell csv.writer quotes
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", *names] if with_dates else names)
+            for i, row in enumerate(X):
+                cells = [repr(float(v)) for v in row]
+                writer.writerow([stamps[i], *cells] if with_dates else cells)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, X, names, stamps)
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_date_column(self, tmp_path):
         path = tmp_path / "panel.csv"

@@ -104,3 +104,94 @@ def test_accelerated_loop_beats_plain_projected_gradient(inputs, rng):
         plain = np.maximum(plain - (c0 + Q @ plain) / denom, 0.0)
     fast = _kernels.mm_inner_gaussian(w, c0, rho, p, 20, 0.0, ii, jj)
     assert np.max(np.abs(fast - w_star)) < 0.5 * np.max(np.abs(plain - w_star))
+
+
+def _fista_reference(w, c0, rho, p, n_steps, step_tol, ii, jj):
+    "FISTA with adaptive restart over every edge: the w-step before the screen."
+    denom = mm_step_denominator(p, rho)
+    z, t = w, 1.0
+    for _ in range(n_steps):
+        w_new = np.maximum(z - (c0 + rho * _kernels.quad_gradient_py(z, ii, jj, p)) / denom, 0.0)
+        step = w_new - w
+        delta = np.max(np.abs(step))
+        if (z - w_new) @ step > 0:
+            z, t = w_new, 1.0
+        else:
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            z, t = w_new + ((t - 1.0) / t_next) * step, t_next
+        w = w_new
+        if delta < step_tol:
+            break
+    return w
+
+
+def _sparse_start(p, rng):
+    """A start whose screen leaves edges at 0 that the minimizer keeps.
+
+    A quarter of the edges carry weight 2, so the degrees, and with them the
+    gradient of every zero edge, are large at the start; c0 < 0 makes the
+    minimizer's degrees small enough that some of those edges turn positive.
+    """
+    m = edge_count(p)
+    w = np.zeros(m)
+    w[: max(1, m // 4)] = 2.0
+    return w, -rng.uniform(0.5, 1.5, m)
+
+
+def _free_edges(w, c0, rho, p):
+    "Edges positive before or after one projected-gradient step from w."
+    Q = rho * dense_quad_operator(p)
+    screened = np.maximum(w - (c0 + Q @ w) / mm_step_denominator(p, rho), 0.0)
+    return (w > 0) | (screened > 0)
+
+
+@pytest.mark.parametrize("p", [3, 8, 17, 40])
+def test_restricted_loop_rescreens_to_the_minimizer(p, rng):
+    # the first restricted phase runs on the wrong face; only a second screen
+    # brings back the edges it left out
+    ii, jj = edge_pairs(p)
+    rho = 1.3
+    w, c0 = _sparse_start(p, rng)
+    Q = rho * dense_quad_operator(p)
+    denom = mm_step_denominator(p, rho)
+    oracle = w
+    for _ in range(200_000):
+        new = np.maximum(oracle - (c0 + Q @ oracle) / denom, 0.0)
+        if np.max(np.abs(new - oracle)) < 1e-16:
+            break
+        oracle = new
+    free = _free_edges(w, c0, rho, p)
+    assert 2 * np.count_nonzero(free) <= free.size
+    assert np.any(~free & (oracle > 0))
+    out = _kernels.mm_inner_gaussian(w, c0, rho, p, 20000, 0.0, ii, jj)
+    np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("step_tol", [0.0, 1e-3])
+def test_mostly_free_screen_runs_the_plain_full_loop(inputs, rng, step_tol):
+    # every edge of the start is positive, so nothing is restricted and the
+    # loop is FISTA over all edges, bit for bit
+    p, ii, jj, w = inputs
+    c0 = rng.standard_normal(w.size)
+    rho = 1.3
+    out = _kernels.mm_inner_gaussian(w, c0, rho, p, 20, step_tol, ii, jj)
+    np.testing.assert_array_equal(out, _fista_reference(w, c0, rho, p, 20, step_tol, ii, jj))
+
+
+def test_restricted_steps_take_one_gradient_on_the_free_edges(rng, monkeypatch):
+    p, rho = 17, 1.3
+    ii, jj = edge_pairs(p)
+    w, c0 = _sparse_start(p, rng)
+    n_free = np.count_nonzero(_free_edges(w, c0, rho, p))
+    sizes = []
+    quad_gradient = _kernels.quad_gradient_py
+
+    def counted(v, ei, ej, p):
+        assert v.size == ei.size == ej.size
+        sizes.append(ei.size)
+        return quad_gradient(v, ei, ej, p)
+
+    monkeypatch.setattr(_kernels, "quad_gradient_py", counted)
+    _kernels.mm_inner_gaussian(w, c0, rho, p, 20, 0.0, ii, jj)
+    assert 2 * n_free <= w.size
+    assert sizes == [w.size] + [n_free] * 19

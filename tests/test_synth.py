@@ -4,6 +4,7 @@ import pytest
 from marketgraph import (
     ParameterError,
     component_count,
+    edge_linear_index,
     laplacian_op,
     planted_k_component,
     sample_lgmrf,
@@ -13,7 +14,40 @@ from marketgraph import (
 from conftest import partitions_equal
 
 
+def _planted_weights_one_draw_at_a_time(p, k, intra_prob, weight_range, seed):
+    "planted_k_component's weights from scalar draws, one node pair at a time."
+    rng = np.random.default_rng(seed)
+    lo, hi = float(weight_range[0]), float(weight_range[1])
+    sizes = [p // k + (1 if b < p % k else 0) for b in range(k)]
+    w = np.zeros(p * (p - 1) // 2)
+    start = 0
+    for size in sizes:
+        nodes = np.arange(start, start + size)
+        start += size
+        order = rng.permutation(nodes)
+        for a in range(1, size):
+            u = int(order[a])
+            v = int(order[rng.integers(0, a)])
+            i, j = (u, v) if u > v else (v, u)
+            w[edge_linear_index(i, j, p)] = rng.uniform(lo, hi)
+        for a in range(size):
+            for b in range(a + 1, size):
+                if rng.uniform() < intra_prob:
+                    kk = edge_linear_index(int(nodes[b]), int(nodes[a]), p)
+                    if w[kk] == 0.0:
+                        w[kk] = rng.uniform(lo, hi)
+    return w
+
+
 class TestPlantedKComponent:
+    @pytest.mark.parametrize("p, k", [(4, 1), (4, 2), (9, 1), (9, 4), (30, 1), (30, 3), (30, 15)])
+    @pytest.mark.parametrize("intra_prob", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("weight_range", [(0.5, 2.0), (1.0, 1.0)])
+    def test_weights_equal_one_draw_at_a_time(self, p, k, intra_prob, weight_range):
+        for seed in (0, 5):
+            g = planted_k_component(p, k, intra_prob, weight_range, seed=seed)
+            oracle = _planted_weights_one_draw_at_a_time(p, k, intra_prob, weight_range, seed)
+            assert np.asarray(g.weights.values).tobytes() == oracle.tobytes()
     def test_perfect_matching(self):
         g = planted_k_component(6, 3, 1.0, seed=1)
         lam = np.linalg.eigvalsh(np.asarray(laplacian_op(g.weights)))
